@@ -34,6 +34,11 @@ def precision(dtype):
         _ACTIVE_DTYPE = prev
 
 
+def grad_enabled() -> bool:
+    """Whether operations are being recorded on the tape."""
+    return _GRAD_ENABLED
+
+
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording (inference / frozen forward passes)."""
@@ -306,15 +311,19 @@ _GELU_A = 0.044715
 
 
 def gelu(a) -> Tensor:
-    """Smooth GELU (tanh form); kink-free, so finite differences stay clean."""
+    """Smooth GELU (tanh form); kink-free, so finite differences stay clean.
+
+    Powers are written as products: ``x ** 3`` on float32 goes through the
+    generic ``powf`` path, about 80 times slower than two multiplies.
+    """
     a = as_tensor(a)
     x = a.data
-    u = _GELU_C * (x + _GELU_A * x ** 3)
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(u)
     data = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
         _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du))
 
     return _make(data, (a,), backward)

@@ -211,6 +211,33 @@ def empty_masks(b: int, n: int) -> np.ndarray:
     return np.zeros((b, n, N_SLOTS))
 
 
+def gather_batch(blocks: Sequence[tuple[StreamFeatures, object]], shape: tuple[int, int],
+                 masks: Optional[np.ndarray] = None) -> EventBatch:
+    """Concatenate rows of feature blocks into one (B, N) batch.
+
+    ``blocks`` pairs each stream's features with the rows it contributes (a
+    slice or an index array), in batch order; B * N rows in all. ``masks`` is
+    (B, N, 7) float/bool; slot 6 masks the status.
+    """
+    def gather(select):
+        rows = np.concatenate([select(feats)[index] for feats, index in blocks])
+        return rows.reshape(shape + rows.shape[1:])
+
+    batch = EventBatch(
+        text={slot: gather(lambda f, s=slot: f.text[s]) for slot in TEXT_SLOTS},
+        null_mask={slot: gather(lambda f, s=slot: f.null_mask[s]) for slot in TEXT_SLOTS},
+        dow_feats=gather(lambda f: f.dow_feats),
+        hour_feats=gather(lambda f: f.hour_feats),
+        sec_ids=gather(lambda f: f.sec_ids),
+        status_ids=gather(lambda f: f.status_ids),
+        slot_mask=np.asarray(masks, dtype=np.float64) if masks is not None
+        else empty_masks(*shape),
+    )
+    status_masked = batch.slot_mask[:, :, 6] > 0.5
+    batch.status_ids[status_masked] = STATUS_INDEX["MASK"]
+    return batch
+
+
 def build_batch(windows: Sequence[Window],
                 features: dict[str, StreamFeatures],
                 masks: Optional[np.ndarray] = None,
@@ -222,40 +249,20 @@ def build_batch(windows: Sequence[Window],
     whose dataset is missing are featurized on the fly (requires table+config).
     ``masks`` is (B, N, 7) float/bool; slot 6 masks the status.
     """
-    rows = []
+    n = len(windows[0])
+    if any(len(w) != n for w in windows):
+        raise ValueError("all windows in a batch must have the same length")
+    blocks = []
     for w in windows:
         feats = features.get(w.dataset)
         if feats is None:
             if table is None or config is None:
                 raise ValueError(f"no features for dataset {w.dataset!r} and no "
                                  f"table/config to featurize ad hoc")
-            feats = featurize_events(w.events, table, config)
-            rows.append((feats, 0, len(w)))
+            blocks.append((featurize_events(w.events, table, config), slice(0, n)))
         else:
-            rows.append((feats, w.start, len(w)))
-    n = rows[0][2]
-    if any(length != n for _, _, length in rows):
-        raise ValueError("all windows in a batch must have the same length")
-    b = len(rows)
-
-    def gather(select):
-        return np.stack([select(feats)[start:start + n] for feats, start, _ in rows])
-
-    text = {slot: gather(lambda f, s=slot: f.text[s]) for slot in TEXT_SLOTS}
-    null_mask = {slot: gather(lambda f, s=slot: f.null_mask[s]) for slot in TEXT_SLOTS}
-    batch = EventBatch(
-        text=text,
-        null_mask=null_mask,
-        dow_feats=gather(lambda f: f.dow_feats),
-        hour_feats=gather(lambda f: f.hour_feats),
-        sec_ids=gather(lambda f: f.sec_ids),
-        status_ids=gather(lambda f: f.status_ids).copy(),
-        slot_mask=np.asarray(masks, dtype=np.float64) if masks is not None
-        else empty_masks(b, n),
-    )
-    status_masked = batch.slot_mask[:, :, 6] > 0.5
-    batch.status_ids[status_masked] = STATUS_INDEX["MASK"]
-    return batch
+            blocks.append((feats, slice(w.start, w.start + n)))
+    return gather_batch(blocks, (len(windows), n), masks)
 
 
 def encode_batch(batch: EventBatch, params: ParamGroup, config: ModelConfig) -> Tensor:
@@ -299,19 +306,9 @@ def encode_event(event: Event, masks: Optional[Sequence[bool]],
                  table: AttributeEmbeddingTable, params: ParamGroup,
                  config: ModelConfig) -> Tensor:
     """h_e for a single event (the batched path with B = N = 1)."""
-    feats = featurize_events([event], table, config)
     window_masks = np.zeros((1, 1, N_SLOTS))
     if masks is not None:
         window_masks[0, 0] = np.asarray(masks, dtype=np.float64)
-    batch = EventBatch(
-        text={slot: feats.text[slot][None] for slot in TEXT_SLOTS},
-        null_mask={slot: feats.null_mask[slot][None] for slot in TEXT_SLOTS},
-        dow_feats=feats.dow_feats[None],
-        hour_feats=feats.hour_feats[None],
-        sec_ids=feats.sec_ids[None],
-        status_ids=feats.status_ids[None].copy(),
-        slot_mask=window_masks,
-    )
-    if window_masks[0, 0, 6] > 0.5:
-        batch.status_ids[0, 0] = STATUS_INDEX["MASK"]
+    batch = gather_batch([(featurize_events([event], table, config), slice(None))], (1, 1),
+                         window_masks)
     return reshape(encode_batch(batch, params, config), (config.d,))

@@ -185,23 +185,14 @@ def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
     model.set_frozen(EVENT_GROUP, True)
     context_group = model.groups[CONTEXT_GROUP]
     adam2 = init_adam(context_group.tensors, lr=config.lr)
-    embed_cache: dict[tuple[str, int], np.ndarray] = {}
-
-    def cached_embeddings(windows):
-        missing = [w for w in windows
-                   if (w.dataset, w.start) not in embed_cache or not w.dataset]
-        if missing:
-            fresh = model.encode_events(model.batch(missing), detach=True).data
-            for w, emb in zip(missing, fresh):
-                embed_cache[(w.dataset, w.start)] = emb
-        return Tensor(np.stack([embed_cache[(w.dataset, w.start)] for w in windows]))
 
     def phase2_step(windows, rng):
         pairs = [augment_mask_event(w, config.p_event_mask, rng) for w in windows]
-        masks = np.stack([p.augmented.mask for p in pairs]).astype(np.float64)
-        anchors_in = cached_embeddings(windows)
-        positives_in = Tensor(model.encode_events(model.batch(windows, masks),
-                                                  detach=True).data)
+        masked = np.stack([p.augmented.mask.all(axis=1) for p in pairs])[:, :, None]
+        anchors_in = model.event_rows(windows)
+        # a fully masked event encodes to one constant row: no second encoder pass
+        positives_in = Tensor(np.where(masked, model.masked_event_row(windows[0]),
+                                       anchors_in.data))
         anchors = pool_sequence(model.contextualize(anchors_in, context_enabled=True))
         positives = pool_sequence(model.contextualize(positives_in, context_enabled=True))
         loss = infonce(anchors, positives, config.temperature, config.symmetric)

@@ -146,6 +146,20 @@ class TestPrimitiveGradients:
 
         assert _check(build, seed) < TOL
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gelu_where_cube_dominates(self, seed):
+        # 2 <= |x| <= 6: the 0.044715 x^3 term outgrows x from |x| ~ 4.7 on
+        def build(rng):
+            magnitude = rng.uniform(2.0, 6.0, size=(4, 5))
+            a = parameter(np.where(rng.random((4, 5)) < 0.5, -magnitude, magnitude))
+
+            def f():
+                return _projected_sum(ad.gelu(a), np.random.default_rng(seed + 100))
+
+            return [a], f
+
+        assert _check(build, seed) < TOL
+
 
 class TestGradCheckHarness:
     def test_square_at_three(self):

@@ -38,9 +38,9 @@ for line in blob.decode().split("\n")[:4]:
 windows = segment_events(dataset.stream, n=30, overlap=29, dataset=dataset.name)
 print(f"\nevent-based segmentation: {len(windows)} windows of 30 events "
       f"(stride 1)")
-window_labels = Counter(w.label for w in windows if w.label)
+last_labels = Counter(w.label for w in windows if w.label)
 print("window labels (label of each window's final event):",
-      dict(window_labels.most_common(3)))
+      dict(last_labels.most_common(3)))
 
 # time-based windows: fixed duration, variable length
 time_windows = segment_time(dataset.stream, delta_t=600, overlap_fraction=0.5)

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Inside the encoders: attribute embeddings, masking, and contextualization.
 
-Encodes single events, shows how masking swaps in learned MASK vectors, and
-demonstrates that the context encoder lets neighboring events reshape each
-event's representation.
+Encodes the events of two short streams, shows how masking swaps in learned
+MASK vectors, and demonstrates that the context encoder lets neighboring
+events reshape each event's representation.
 """
 
 import numpy as np
 
-from domusfm import Event, ModelConfig, Sensor, Window, window_representation
+from domusfm import Event, Model, ModelConfig, Sensor, Window
+from domusfm.autodiff import no_grad
 from domusfm.embeddings import fallback_embedding
-from domusfm.event_encoder import N_SLOTS, cyclical_features, encode_event
-from domusfm.model import Model
+from domusfm.event_encoder import N_SLOTS, cyclical_features
 
 config = ModelConfig(d=32, heads=4, layers=2, seconds_buckets=60)
 model = Model.init(config, seed=7)
@@ -26,38 +26,38 @@ h23, h0, h12 = (cyclical_features(h, 24.0, config.harmonics) for h in (23, 0, 12
 print(f"\n|features(23h) - features(0h)|  = {np.linalg.norm(h23 - h0):.3f}  (close)")
 print(f"|features(12h) - features(0h)|  = {np.linalg.norm(h12 - h0):.3f}  (far)")
 
+# the same stove event surrounded by different neighbors, in two streams
 stove = Sensor("p_stove", "power", house_item="stove", room="kitchen")
-event = Event(1736154000, stove, "ON")  # 2025-01-06 09:00 UTC
-
-plain = encode_event(event, None, model.table, model.event_params, config)
-masks = [False] * N_SLOTS
-masks[1] = True  # hide the room
-room_masked = encode_event(event, masks, model.table, model.event_params, config)
-print(f"\nevent embedding h_e is {plain.shape[0]}-dimensional")
-print(f"masking the room slot moves h_e by "
-      f"{np.linalg.norm(plain.data - room_masked.data):.3f}")
-
-# a window: the same stove event surrounded by different neighbors
 bed = Sensor("b_bed", "pressure", house_item="bed", room="bedroom")
 fridge = Sensor("c_fridge", "contact", house_item="fridge", room="kitchen")
+event = Event(1736154000, stove, "ON")  # 2025-01-06 09:00 UTC
 
 
-def around(neighbor: Sensor) -> Window:
+def around(name: str, neighbor: Sensor) -> Window:
     events = (Event(event.timestamp - 120, neighbor, "ON"),
               event,
               Event(event.timestamp + 90, neighbor, "OFF"))
-    return Window(events, (None,) * 3)
+    model.add_stream_features(name, events)
+    return Window(events, (None,) * 3, dataset=name)
 
 
-rep_kitchen = window_representation(around(fridge), model.table, model.event_params,
-                                    model.context_params, config)
-rep_bedroom = window_representation(around(bed), model.table, model.event_params,
-                                    model.context_params, config)
-shift = np.linalg.norm(rep_kitchen.contextualized[1] - rep_bedroom.contextualized[1])
+kitchen, bedroom = around("kitchen", fridge), around("bedroom", bed)
+
+with no_grad():
+    plain = model.encode_events(model.batch([kitchen])).data[0]
+    masks = np.zeros((1, len(kitchen), N_SLOTS))
+    masks[0, 1, 1] = 1.0  # hide the stove event's room
+    room_masked = model.encode_events(model.batch([kitchen], masks)).data[0]
+    ctx_kitchen, _ = model.window_tensors([kitchen])
+    ctx_bedroom, _ = model.window_tensors([bedroom])
+    ctx_ablated, _ = model.window_tensors([kitchen], context_enabled=False)
+
+print(f"\nevent embedding h_e is {plain.shape[1]}-dimensional")
+print(f"masking the room slot moves h_e by "
+      f"{np.linalg.norm(plain[1] - room_masked[1]):.3f}")
+
+shift = np.linalg.norm(ctx_kitchen.data[0, 1] - ctx_bedroom.data[0, 1])
 print(f"\nsame event, different window context: h_cxt differs by {shift:.3f}")
 
-ablated = ModelConfig(**{**config.__dict__, "context_enabled": False})
-rep_ablated = window_representation(around(fridge), model.table, model.event_params,
-                                    model.context_params, ablated)
-assert np.array_equal(rep_ablated.contextualized[1], plain.data)
+assert np.array_equal(ctx_ablated.data[0], plain)
 print("with context disabled, rows fall back to the raw event embeddings (bitwise)")

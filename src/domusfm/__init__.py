@@ -7,7 +7,7 @@ pretrain both stages contrastively before fine-tuning lightweight task heads
 for activity recognition and next-k event forecasting.
 """
 
-from .context_encoder import WindowRepresentation, contextualize, pool_sequence
+from .context_encoder import contextualize, pool_sequence
 from .downstream import (
     AdlHead,
     EventMultiset,
@@ -31,7 +31,7 @@ from .evaluation import (
     subsample_training,
     weighted_f1,
 )
-from .event_encoder import ModelConfig, encode_event, encode_status, encode_temporal
+from .event_encoder import ModelConfig
 from .events import (
     Event,
     EventStream,
@@ -50,9 +50,9 @@ from .ingest import (
     parse_event_csv,
     write_event_csv,
 )
-from .model import Model, window_representation
+from .model import Model
 from .pretraining import PretrainConfig, augment_mask_attribute, augment_mask_event, infonce, pretrain
-from .segmentation import SegmentationConfig, Window, segment_events, segment_time, window_label
+from .segmentation import Window, segment_events, segment_time
 
 __version__ = "0.1.0"
 
@@ -60,15 +60,12 @@ __all__ = [
     "AdlHead", "AttributeEmbeddingTable", "Dataset", "EvalProtocol", "Event",
     "EventMultiset", "EventStream", "FinetuneSettings", "FinetuneStrategy",
     "LodoConfig", "MetricReport", "Model", "ModelConfig", "NextKHead",
-    "PretrainConfig", "SegmentationConfig", "SemanticState", "Sensor",
-    "SyntheticHomeSpec", "TrainItem", "Window", "WindowRepresentation",
-    "adl_predict", "augment_mask_attribute", "augment_mask_event",
+    "PretrainConfig", "SemanticState", "Sensor", "SyntheticHomeSpec", "TrainItem",
+    "Window", "adl_predict", "augment_mask_attribute", "augment_mask_event",
     "binarize_continuous", "build_sampling_plan", "clean_alternation",
-    "contextualize", "encode_event", "encode_status", "encode_temporal",
-    "extract_time_features", "fallback_embedding", "finetune",
+    "contextualize", "extract_time_features", "fallback_embedding", "finetune",
     "generate_synthetic_corpus", "infonce", "kfold_splits", "load_table_tsv",
     "lodo_run", "merge_streams", "multiset_prf", "nextk_predict", "nextk_target",
     "parse_event_csv", "pool_sequence", "pretrain", "segment_events",
-    "segment_time", "subsample_training", "weighted_f1", "window_label",
-    "window_representation", "write_event_csv",
+    "segment_time", "subsample_training", "weighted_f1", "write_event_csv",
 ]

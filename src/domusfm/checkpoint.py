@@ -12,6 +12,7 @@ import json
 import os
 import struct
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -49,23 +50,30 @@ def _header(groups: list[ParamGroup], meta: dict | None) -> tuple[bytes, list[np
     return raw, payload
 
 
-def save_checkpoint(path: str, groups: list[ParamGroup], meta: dict | None = None):
-    """Atomically write a checkpoint (temp file + rename)."""
-    raw, payload = _header(groups, meta)
+def atomic_write(path: str, chunks: Iterable):
+    """Write ``chunks`` (bytes-like) to ``path`` through a temp file beside it.
+
+    The temp file replaces ``path`` only once every chunk is written; on any
+    failure it is removed and ``path`` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
-            for arr in payload:
-                fh.write(arr.tobytes())
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path: str, groups: list[ParamGroup], meta: dict | None = None):
+    """Atomically write a checkpoint (temp file + rename)."""
+    raw, payload = _header(groups, meta)
+    atomic_write(path, [MAGIC, struct.pack("<Q", len(raw)), raw, *payload])
 
 
 def read_checkpoint(path: str) -> tuple[list[ParamGroup], dict]:

@@ -19,9 +19,8 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, atomic_write
 from .downstream import FinetuneSettings, FinetuneStrategy
 from .embeddings import load_table_tsv
 from .evaluation import EvalProtocol, LodoConfig, MetricReport, grid_run, kfold_splits
@@ -152,20 +151,6 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return config
 
 
-def atomic_write(path: str, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # -- config -> objects ---------------------------------------------------------
 
 
@@ -195,8 +180,14 @@ def pretrain_config(config: dict) -> PretrainConfig:
 
 
 def finetune_settings(config: dict) -> FinetuneSettings:
+    try:
+        strategy = FinetuneStrategy(config["finetune.strategy"])
+    except ValueError:
+        choices = ", ".join(s.value for s in FinetuneStrategy)
+        raise UsageError(f"finetune.strategy: expected one of {choices}, "
+                         f"got {config['finetune.strategy']!r}") from None
     return FinetuneSettings(
-        strategy=FinetuneStrategy(config["finetune.strategy"]),
+        strategy=strategy,
         epochs=config["finetune.epochs"],
         batch_size=config["finetune.batch_size"],
         lr=config["finetune.lr"],
@@ -286,7 +277,7 @@ def cmd_synth(args) -> int:
         seed = args.seed if args.seed is not None else int(env_seed)
         spec = SyntheticHomeSpec(**{**spec.__dict__, "seed": seed})
     dataset = generate_synthetic_corpus(spec)
-    atomic_write(args.out, write_event_csv(dataset))
+    atomic_write(args.out, [write_event_csv(dataset)])
     print(f"wrote {args.out}: {len(dataset.stream)} events, "
           f"{len(dataset.sensors)} sensors, {len(dataset.activity_set)} activities")
     return EXIT_OK
@@ -317,10 +308,9 @@ def cmd_pretrain(args, config: dict) -> int:
     result = pretrain(windows, pretrain_config(config), model)
     out_dir = config["paths.out_dir"]
     ckpt = os.path.join(out_dir, "pretrained.ckpt")
-    os.makedirs(out_dir, exist_ok=True)
     model.save(ckpt)
     atomic_write(os.path.join(out_dir, "pretrain_loss.csv"),
-                 loss_history_csv(result.history).encode("utf-8"))
+                 [loss_history_csv(result.history).encode("utf-8")])
     print(f"pretrained on {sorted(result.seen_datasets)}; "
           f"final loss {result.history[-1].loss:.4f}")
     print(f"checkpoint: {ckpt}")
@@ -376,7 +366,7 @@ def _checkpoint_grid(args, config: dict, with_control: bool) -> int:
                  progress=(print if args.verbose else None))
     out_name = "eval_metrics.csv" if with_control else "finetune_metrics.csv"
     out_path = os.path.join(config["paths.out_dir"], out_name)
-    atomic_write(out_path, report.to_csv().encode("utf-8"))
+    atomic_write(out_path, [report.to_csv().encode("utf-8")])
     _print_aggregates(report)
     print(f"metrics: {out_path}")
     return EXIT_OK

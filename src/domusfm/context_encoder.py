@@ -9,8 +9,6 @@ contrastive objectives and the task heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor, reshape, tensor_mean
@@ -24,18 +22,6 @@ from .nn import (
     multi_head_attention,
 )
 from .event_encoder import ModelConfig
-
-
-@dataclass
-class WindowRepresentation:
-    """Contextualized per-event vectors plus their mean-pooled summary."""
-
-    contextualized: np.ndarray  # (N, d)
-    pooled: np.ndarray          # (d,)
-
-    def __post_init__(self):
-        if self.contextualized.ndim != 2 or self.pooled.shape != (self.contextualized.shape[1],):
-            raise ValueError("contextualized must be (N, d) with pooled (d,)")
 
 
 def init_context_encoder(config: ModelConfig, rng: np.random.Generator) -> ParamGroup:

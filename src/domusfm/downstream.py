@@ -27,7 +27,6 @@ NEXTK_GROUP = "nextk_head"
 class FinetuneStrategy(str, Enum):
     """How much of the network the downstream task may move."""
 
-    FROZEN_FEATURES = "frozen_features"  # realized as head-only training
     HEAD_ONLY = "head_only"
     FULL = "full"
 
@@ -224,7 +223,7 @@ def finetune(model: Model, train_set: Sequence[TrainItem], task: str,
     """Train a task head (and optionally the backbone) on labeled windows.
 
     Returns the trained head. The model's encoder groups are updated in place
-    when the strategy is FULL; both frozen strategies leave them bit-identical.
+    when the strategy is FULL; HEAD_ONLY leaves them bit-identical.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -252,8 +251,7 @@ def finetune(model: Model, train_set: Sequence[TrainItem], task: str,
     else:
         raise ValueError(f"unknown task {task!r}")
 
-    backbone_frozen = settings.strategy in (FinetuneStrategy.FROZEN_FEATURES,
-                                            FinetuneStrategy.HEAD_ONLY)
+    backbone_frozen = settings.strategy == FinetuneStrategy.HEAD_ONLY
     model.set_frozen(EVENT_GROUP, backbone_frozen)
     model.set_frozen(CONTEXT_GROUP, backbone_frozen)
     model.groups[head.params.name] = head.params

@@ -96,16 +96,15 @@ class MetricReport:
 # -- metrics -------------------------------------------------------------------
 
 
-def weighted_f1(predictions: Sequence, labels: Sequence, classes: Sequence) -> float:
-    """Support-weighted mean of per-class F1 scores.
+def _class_scores(predictions: Sequence, labels: Sequence,
+                  classes: Sequence) -> list[tuple[str, int, float, float, float]]:
+    """(class, support, precision, recall, F1) per class with nonzero support.
 
-    Classes absent from the true labels carry zero weight; a class with zero
-    precision and recall contributes F1 = 0.
+    Classes come in the order given; a class with zero precision and recall
+    has F1 = 0.
     """
     if len(predictions) != len(labels):
         raise ValueError("predictions and labels must have equal length")
-    if not labels:
-        raise ValueError("cannot score an empty label set")
     tp = {c: 0 for c in classes}
     fp = {c: 0 for c in classes}
     fn = {c: 0 for c in classes}
@@ -115,8 +114,7 @@ def weighted_f1(predictions: Sequence, labels: Sequence, classes: Sequence) -> f
         else:
             fp[pred] += 1
             fn[true] += 1
-    total = 0
-    weighted = 0.0
+    out = []
     for c in classes:
         support = tp[c] + fn[c]
         if support == 0:
@@ -124,6 +122,21 @@ def weighted_f1(predictions: Sequence, labels: Sequence, classes: Sequence) -> f
         precision = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
         recall = tp[c] / support
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        out.append((c, support, precision, recall, f1))
+    return out
+
+
+def weighted_f1(predictions: Sequence, labels: Sequence, classes: Sequence) -> float:
+    """Support-weighted mean of per-class F1 scores.
+
+    Classes absent from the true labels carry zero weight.
+    """
+    scores = _class_scores(predictions, labels, classes)
+    if not labels:
+        raise ValueError("cannot score an empty label set")
+    total = 0
+    weighted = 0.0
+    for _, support, _, _, f1 in scores:
         weighted += support * f1
         total += support
     return weighted / total
@@ -132,25 +145,7 @@ def weighted_f1(predictions: Sequence, labels: Sequence, classes: Sequence) -> f
 def per_class_prf(predictions: Sequence, labels: Sequence,
                   classes: Sequence) -> dict[str, tuple[float, float, float]]:
     """(precision, recall, F1) per class with nonzero support."""
-    tp = {c: 0 for c in classes}
-    fp = {c: 0 for c in classes}
-    fn = {c: 0 for c in classes}
-    for pred, true in zip(predictions, labels):
-        if pred == true:
-            tp[true] += 1
-        else:
-            fp[pred] += 1
-            fn[true] += 1
-    out = {}
-    for c in classes:
-        support = tp[c] + fn[c]
-        if support == 0:
-            continue
-        precision = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
-        recall = tp[c] / support
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        out[c] = (precision, recall, f1)
-    return out
+    return {c: (p, r, f1) for c, _, p, r, f1 in _class_scores(predictions, labels, classes)}
 
 
 def multiset_prf(gt: EventMultiset, pred: EventMultiset) -> tuple[float, float, float]:

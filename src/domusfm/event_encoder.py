@@ -105,47 +105,6 @@ def init_event_encoder(config: ModelConfig, rng: np.random.Generator) -> ParamGr
     return group
 
 
-def embed_attribute_text(token: Optional[str], table: AttributeEmbeddingTable,
-                         params: Optional[ParamGroup] = None,
-                         slot: Optional[str] = None, masked: bool = False) -> Tensor:
-    """d_text vector for one attribute value.
-
-    Table hits return the stored vector, misses the hash fallback. NULL
-    attributes and masked slots return the corresponding learned per-slot
-    vector (never a text embedding), which requires ``params`` and ``slot``.
-    """
-    if masked or token is None or not token.strip():
-        if params is None or slot is None:
-            raise ValueError("NULL/MASK attribute embedding needs params and slot")
-        return params[f"{'mask' if masked else 'null'}_{slot}"]
-    return Tensor(table.lookup(token))
-
-
-def encode_temporal(dow: int, hour: int, sec_in_hour: int, params: ParamGroup,
-                    config: ModelConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """Projected cyclical day/hour features and the second-bucket embedding."""
-    if not 0 <= dow <= 6:
-        raise ValueError(f"day-of-week out of range: {dow}")
-    if not 0 <= hour <= 23:
-        raise ValueError(f"hour out of range: {hour}")
-    v_dow = linear(Tensor(cyclical_features(dow, 7.0, config.harmonics)[None, :]),
-                   params["proj_dow.w"], params["proj_dow.b"])
-    v_hour = linear(Tensor(cyclical_features(hour, 24.0, config.harmonics)[None, :]),
-                    params["proj_hour.w"], params["proj_hour.b"])
-    bucket = seconds_bucket(sec_in_hour, config.seconds_buckets)
-    v_sec = take_rows(params["sec_table"], np.array([bucket]))
-    return (reshape(v_dow, (config.d,)), reshape(v_hour, (config.d,)),
-            reshape(v_sec, (config.d,)))
-
-
-def encode_status(status: str, params: ParamGroup) -> Tensor:
-    """Learned embedding over {ON, OFF, MASK}."""
-    if status not in STATUS_INDEX:
-        raise ValueError(f"unknown status {status!r}")
-    row = take_rows(params["status_table"], np.array([STATUS_INDEX[status]]))
-    return reshape(row, (row.shape[-1],))
-
-
 # -- batched featurization -----------------------------------------------------
 
 
@@ -300,15 +259,3 @@ def encode_batch(batch: EventBatch, params: ParamGroup, config: ModelConfig) -> 
     pooled = tensor_mean(fused, axis=1)  # (B*N, d)
     out = linear(pooled, params["fuse.w"], params["fuse.b"])
     return reshape(out, (b, n, d))
-
-
-def encode_event(event: Event, masks: Optional[Sequence[bool]],
-                 table: AttributeEmbeddingTable, params: ParamGroup,
-                 config: ModelConfig) -> Tensor:
-    """h_e for a single event (the batched path with B = N = 1)."""
-    window_masks = np.zeros((1, 1, N_SLOTS))
-    if masks is not None:
-        window_masks[0, 0] = np.asarray(masks, dtype=np.float64)
-    batch = gather_batch([(featurize_events([event], table, config), slice(None))], (1, 1),
-                         window_masks)
-    return reshape(encode_batch(batch, params, config), (config.d,))

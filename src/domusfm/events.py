@@ -165,38 +165,24 @@ def merge_streams(streams: Iterable[EventStream]) -> EventStream:
     pairs: list[tuple[Event, Optional[str]]] = []
     for stream in streams:
         pairs.extend(zip(stream.events, stream.labels))
-    pairs.sort(key=lambda p: (p[0].timestamp, p[0].sensor.id))
+    return sorted_stream(pairs)
+
+
+def sorted_stream(pairs: Iterable[tuple[Event, Optional[str]]]) -> EventStream:
+    """Stream of raw (event, label) rows under the merge tie rule.
+
+    Rows are stable-sorted by (timestamp, sensor id); an event that does not
+    come strictly after its predecessor is bumped to one second past it.
+    """
     events: list[Event] = []
     labels: list[Optional[str]] = []
     last_t = 0
-    for event, label in pairs:
+    for event, label in sorted(pairs, key=lambda p: (p[0].timestamp, p[0].sensor.id)):
         t = max(event.timestamp, last_t + 1)
         events.append(event if t == event.timestamp else replace(event, timestamp=t))
         labels.append(label)
         last_t = t
     return EventStream(tuple(events), tuple(labels))
-
-
-def sort_events(pairs: Sequence[tuple[Event, Optional[str]]]) -> tuple[list[tuple[Event, Optional[str]]], int]:
-    """Stable-sort raw (event, label) rows by (timestamp, sensor id).
-
-    Returns the sorted rows and how many of them changed position.
-    """
-    indexed = sorted(enumerate(pairs), key=lambda item: (
-        item[1][0].timestamp, item[1][0].sensor.id, item[0]))
-    reordered = sum(1 for new_pos, (old_pos, _) in enumerate(indexed) if new_pos != old_pos)
-    return [pair for _, pair in indexed], reordered
-
-
-def uniquify_timestamps(pairs: Sequence[tuple[Event, Optional[str]]]) -> list[tuple[Event, Optional[str]]]:
-    """Apply the merge tie rule to already-sorted rows."""
-    out: list[tuple[Event, Optional[str]]] = []
-    last_t = 0
-    for event, label in pairs:
-        t = max(event.timestamp, last_t + 1)
-        out.append((event if t == event.timestamp else replace(event, timestamp=t), label))
-        last_t = t
-    return out
 
 
 def extract_time_features(timestamp: int) -> tuple[int, int, int]:

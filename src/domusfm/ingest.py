@@ -22,8 +22,7 @@ from .events import (
     clean_alternation,
     format_iso_timestamp,
     parse_iso_timestamp,
-    sort_events,
-    uniquify_timestamps,
+    sorted_stream,
 )
 
 CSV_HEADER = "timestamp,sensor_id,house_item,room,sensor_type,status,activity"
@@ -108,10 +107,7 @@ def parse_event_csv(blob: bytes, name: str = "dataset") -> Dataset:
             raise ParseError(f"line {lineno}: sensor {sensor_id!r} attributes conflict "
                              f"with an earlier line")
         rows.append((Event(ts, sensor, canonical), activity or None))
-    ordered, _ = sort_events(rows)
-    unique = uniquify_timestamps(ordered)
-    stream = EventStream(tuple(e for e, _ in unique), tuple(l for _, l in unique))
-    cleaned, _ = clean_alternation(stream)
+    cleaned, _ = clean_alternation(sorted_stream(rows))
     activities = tuple(sorted({l for l in cleaned.labels if l is not None}))
     return Dataset(name=name, sensors=sensors, stream=cleaned, activity_set=activities)
 
@@ -277,10 +273,7 @@ def generate_synthetic_corpus(spec: SyntheticHomeSpec) -> Dataset:
                 at = day_start + int(rng.integers(0, 86400))
                 status = ON if rng.random() < 0.5 else OFF
                 raw.append((Event(at, _as_sensor(sensor), status), None))
-    ordered, _ = sort_events(raw)
-    unique = uniquify_timestamps(ordered)
-    stream = EventStream(tuple(e for e, _ in unique), tuple(l for _, l in unique))
-    cleaned, _ = clean_alternation(stream)
+    cleaned, _ = clean_alternation(sorted_stream(raw))
     registry = cleaned.sensors()
     activities = tuple(sorted({l for l in cleaned.labels if l is not None}))
     return Dataset(name=spec.name, sensors=registry, stream=cleaned,

@@ -8,12 +8,7 @@ import numpy as np
 
 from .autodiff import Tensor, grad_enabled, no_grad
 from .checkpoint import load_into_groups, save_checkpoint
-from .context_encoder import (
-    WindowRepresentation,
-    contextualize,
-    init_context_encoder,
-    pool_sequence,
-)
+from .context_encoder import contextualize, init_context_encoder, pool_sequence
 from .embeddings import AttributeEmbeddingTable, fallback_table
 from .event_encoder import (
     N_SLOTS,
@@ -186,24 +181,3 @@ class Model:
 
     def state_bytes(self) -> bytes:
         return b"".join(g.state_bytes() for g in self.groups.values())
-
-
-def window_representation(window: Window, table: AttributeEmbeddingTable,
-                          event_params: ParamGroup, ctx_params: ParamGroup,
-                          config: ModelConfig) -> WindowRepresentation:
-    """Inference-mode representation of one window.
-
-    With ``config.context_enabled`` false the contextualized rows are the raw
-    event embeddings (the ablation path).
-    """
-    batch = build_batch([window], {}, table=table, config=config)
-    with no_grad():
-        embeddings = encode_batch(batch, event_params, config)
-        ctx = contextualize(embeddings, ctx_params, config) if config.context_enabled \
-            else embeddings
-        pooled = pool_sequence(ctx)
-    n = len(window)
-    return WindowRepresentation(
-        contextualized=ctx.data.reshape(n, config.d).copy(),
-        pooled=pooled.data.reshape(config.d).copy(),
-    )

@@ -248,13 +248,3 @@ def group_grads(group: ParamGroup) -> dict[str, np.ndarray]:
     for name, t in group.tensors.items():
         out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
     return out
-
-
-def apply_gradients(groups: list[ParamGroup], states: dict[str, AdamState]):
-    """Adam-update every non-frozen group from its accumulated gradients."""
-    for group in groups:
-        if group.frozen:
-            group.zero_grad()
-            continue
-        adam_step(group.tensors, group_grads(group), states[group.name])
-        group.zero_grad()

@@ -42,28 +42,6 @@ class Window:
         return self.start + len(self.events) - 1
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
-    mode: str = "event_based"  # or "time_based"
-    n_events: int = 30
-    overlap: int = 29
-    delta_t: int = 60
-    overlap_fraction: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("event_based", "time_based"):
-            raise ValueError(f"unknown segmentation mode {self.mode!r}")
-        if self.mode == "event_based":
-            if not 0 <= self.overlap < self.n_events:
-                raise ValueError(f"need 0 <= overlap < N, got overlap={self.overlap}, "
-                                 f"N={self.n_events}")
-        else:
-            if self.delta_t <= 0:
-                raise ValueError("delta_t must be positive")
-            if not 0.0 <= self.overlap_fraction < 1.0:
-                raise ValueError("overlap_fraction must be in [0, 1)")
-
-
 def segment_events(stream: EventStream, n: int, overlap: int,
                    dataset: str = "") -> list[Window]:
     """Fixed-size sliding windows with stride ``n - overlap``."""
@@ -118,8 +96,3 @@ def segment_time(stream: EventStream, delta_t: int, overlap_fraction: float = 0.
             ))
         j += 1
     return windows
-
-
-def window_label(window: Window) -> Optional[str]:
-    """Activity performed at the time of the window's final event."""
-    return window.labels[-1]

@@ -6,6 +6,7 @@ import pytest
 from domusfm.checkpoint import (
     MAGIC,
     CheckpointError,
+    atomic_write,
     load_into_groups,
     read_checkpoint,
     save_checkpoint,
@@ -93,3 +94,26 @@ class TestLoadIntoModel:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="magic"):
             read_checkpoint(str(path))
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def failing_chunks():
+        yield b"partial "
+        raise OSError("disk full")
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(str(tmp_path / "m.ckpt"), self.failing_chunks())
+        assert list(tmp_path.iterdir()) == []  # no target, no temp file
+        target = tmp_path / "metrics.csv"
+        atomic_write(str(target), [b"old"])
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(str(target), self.failing_chunks())
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"old"
+
+    def test_creates_missing_directory(self, tmp_path):
+        target = tmp_path / "new" / "out.csv"
+        atomic_write(str(target), [b"a,", b"b\n"])
+        assert target.read_bytes() == b"a,b\n"

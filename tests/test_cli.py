@@ -234,6 +234,17 @@ class TestEvalCommands:
                 "--checkpoint", "out/pretrained.ckpt", "--held-out", "mars"]
         assert main(argv) == EXIT_DATA
 
+    def test_unknown_strategy_is_usage_error(self, trained, capsys):
+        argv = ["eval", "--config", "run.cfg",
+                "--set", "paths.datasets=home1.csv,home2.csv,home3.csv",
+                "--set", "finetune.strategy=frozen_features",
+                "--checkpoint", "out/pretrained.ckpt", "--held-out", "home3"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1
+        assert "head_only" in err and "full" in err and "Traceback" not in err
+        assert not (trained / "out" / "eval_metrics.csv").exists()
+
     def test_missing_held_out_is_usage_error(self, trained):
         argv = ["eval", "--config", "run.cfg",
                 "--set", "paths.datasets=home1.csv,home2.csv",

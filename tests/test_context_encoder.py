@@ -1,19 +1,16 @@
 """Contextualization: information flow, pooling, ablation path, full-pipeline gradient."""
 
+import dataclasses
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from conftest import make_window, toy_config
-from domusfm.autodiff import Tensor, grad_check, precision
-from domusfm.context_encoder import (
-    WindowRepresentation,
-    contextualize,
-    init_context_encoder,
-    pool_sequence,
-)
-from domusfm.event_encoder import build_batch, encode_batch, init_event_encoder
+from domusfm.autodiff import Tensor, grad_check, no_grad, precision
+from domusfm.context_encoder import contextualize, init_context_encoder, pool_sequence
 from domusfm.embeddings import fallback_table
-from domusfm.model import Model, window_representation
+from domusfm.model import Model
 
 SEEDS = (0, 1, 2)
 
@@ -85,67 +82,55 @@ class TestPooling:
                                    atol=1e-6)
 
 
-class TestWindowRepresentation:
+class TestWindowTensors:
     def test_ablation_returns_event_embeddings_bitwise(self, table):
         config = toy_config(context_enabled=False)
         model = Model.init(config, table, seed=0)
         window = make_window(n=4, seed=5)
-        rep = window_representation(window, table, model.event_params,
-                                    model.context_params, model.config)
-        batch = build_batch([window], {}, table=table, config=config)
-        raw = encode_batch(batch, model.event_params, config).data.reshape(4, config.d)
-        np.testing.assert_array_equal(rep.contextualized, raw)
-        np.testing.assert_allclose(rep.pooled, raw.mean(axis=0), rtol=1e-6)
+        raw = model.encode_events(model.batch([window])).data
+        for mode in (no_grad, nullcontext):  # forward-only and taped passes
+            with mode():
+                ctx, pooled = model.window_tensors([window])
+            np.testing.assert_array_equal(ctx.data, raw)
+            np.testing.assert_allclose(pooled.data[0], raw[0].mean(axis=0), rtol=1e-6)
 
     def test_deterministic(self, table):
         config = toy_config()
         model = Model.init(config, table, seed=1)
         window = make_window(n=3, seed=2)
-        a = window_representation(window, table, model.event_params,
-                                  model.context_params, model.config)
-        b = window_representation(window, table, model.event_params,
-                                  model.context_params, model.config)
-        np.testing.assert_array_equal(a.contextualized, b.contextualized)
-        np.testing.assert_array_equal(a.pooled, b.pooled)
+        with no_grad():
+            a = model.window_tensors([window])
+            b = model.window_tensors([window])
+        for ta, tb in zip(a, b):
+            np.testing.assert_array_equal(ta.data, tb.data)
 
     def test_context_enabled_mixes_rows(self, table):
         config = toy_config()
         model = Model.init(config, table, seed=3)
         w1 = make_window(n=3, seed=10)
         events_changed = list(w1.events)
-        import dataclasses
-
         # shift event 0 by two hours so its temporal features genuinely change
         events_changed[0] = dataclasses.replace(events_changed[0],
                                                 timestamp=events_changed[0].timestamp - 7200)
         w2 = w1.__class__(tuple(events_changed), w1.labels)
-        rep1 = window_representation(w1, table, model.event_params,
-                                     model.context_params, model.config)
-        rep2 = window_representation(w2, table, model.event_params,
-                                     model.context_params, model.config)
-        assert not np.allclose(rep1.contextualized[2], rep2.contextualized[2])
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            WindowRepresentation(np.zeros((3, 4)), np.zeros(3))
+        with no_grad():
+            ctx1, _ = model.window_tensors([w1])
+            ctx2, _ = model.window_tensors([w2])
+        assert not np.allclose(ctx1.data[0, 2], ctx2.data[0, 2])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_gradient_full_pipeline(self, seed):
         config = toy_config()
-        table = fallback_table(config.text_dim())
         with precision("float64"):
-            event_params = init_event_encoder(config, np.random.default_rng(seed))
-            ctx_params = init_context_encoder(config, np.random.default_rng(seed + 1))
+            model = Model.init(config, fallback_table(config.text_dim()), seed=seed)
             window = make_window(n=3, seed=seed)
-            batch = build_batch([window], {}, table=table, config=config)
             rng = np.random.default_rng(seed + 77)
             r = Tensor(rng.normal(size=(config.d,)))
 
             def f():
-                h = encode_batch(batch, event_params, config)
-                ctx = contextualize(h, ctx_params, config)
-                return (pool_sequence(ctx)[0] * r).sum()
+                _, pooled = model.window_tensors([window])
+                return (pooled[0] * r).sum()
 
-            params = list(event_params.tensors.values()) + list(ctx_params.tensors.values())
+            params = [t for g in model.groups.values() for t in g.tensors.values()]
             err = grad_check(f, params, seed=seed)
         assert err < 1e-4

@@ -190,17 +190,6 @@ class TestFinetune:
         for name, blob in before.items():
             assert model.groups[name].state_bytes() == blob
 
-    def test_frozen_features_equivalent_freeze(self):
-        config = toy_config(d=16)
-        model = Model.init(config, fallback_table(16), seed=1)
-        items = build_separable_items(model)
-        before = model.groups[EVENT_GROUP].state_bytes()
-        finetune(model, items, "adl",
-                 FinetuneSettings(strategy=FinetuneStrategy.FROZEN_FEATURES, epochs=1,
-                                  batch_size=8, seed=1),
-                 classes=("cook", "sleep"))
-        assert model.groups[EVENT_GROUP].state_bytes() == before
-
     def test_full_strategy_moves_backbone(self):
         config = toy_config(d=16)
         model = Model.init(config, fallback_table(16), seed=2)

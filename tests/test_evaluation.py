@@ -223,6 +223,13 @@ class TestPerClassPRF:
         p, r, f1 = out["b"]
         assert (p, r) == (0.5, 1.0) and abs(f1 - 2 / 3) < 1e-12
 
+    def test_length_mismatch_rejected(self):
+        from domusfm.evaluation import per_class_prf
+
+        for score in (per_class_prf, weighted_f1):
+            with pytest.raises(ValueError, match="equal length"):
+                score(["a", "b"], ["a", "b", "b"], ["a", "b"])
+
     def test_weighted_f1_is_support_weighted_mean(self):
         from domusfm.evaluation import per_class_prf
 

@@ -1,34 +1,55 @@
-"""Event-level encoder: temporal features, reserved-token paths, masking, gradients."""
+"""Event-level encoder: featurization, NULL/MASK substitution, masking, gradients.
+
+Every event row comes from ``featurize_events`` -> ``build_batch`` -> ``encode_batch``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import BED, KITCHEN_MOTION, STOVE, WEARABLE, make_window, toy_config
+from conftest import BED, STOVE, WEARABLE, make_window, toy_config
 from domusfm.autodiff import Tensor, grad_check, precision
-from domusfm.embeddings import fallback_embedding, fallback_table
+from domusfm.embeddings import fallback_embedding
 from domusfm.event_encoder import (
     ModelConfig,
     N_SLOTS,
     build_batch,
     cyclical_features,
-    embed_attribute_text,
     encode_batch,
-    encode_event,
-    encode_status,
-    encode_temporal,
     featurize_events,
     init_event_encoder,
     seconds_bucket,
 )
-from domusfm.events import Event
+from domusfm.events import Event, Sensor, extract_time_features
+from domusfm.segmentation import Window
 
 SEEDS = (0, 1, 2)
+T0 = 1_700_000_000
 
 
 def make_params(config, seed=0):
     return init_event_encoder(config, np.random.default_rng(seed))
+
+
+def batch_of(events, table, config, masks=None):
+    """(1, N) batch of ``events`` as one ad-hoc window."""
+    window = Window(tuple(events), (None,) * len(events))
+    if masks is not None:
+        masks = np.asarray(masks, dtype=np.float64).reshape(1, len(events), N_SLOTS)
+    return build_batch([window], {}, masks, table=table, config=config)
+
+
+def encode(events, table, params, config, masks=None):
+    """h_e rows (N, d) of ``events`` encoded as one window."""
+    batch = batch_of(events, table, config, masks)
+    return encode_batch(batch, params, config).data[0]
+
+
+def slot_masks(*slots):
+    masks = np.zeros(N_SLOTS)
+    masks[list(slots)] = 1.0
+    return masks
 
 
 class TestModelConfig:
@@ -85,103 +106,130 @@ class TestEmbedAttributeText:
 
         stored = np.linspace(0, 1, 8)
         table = AttributeEmbeddingTable(d_text=8, vectors={"stove": stored})
-        out = embed_attribute_text("stove", table)
-        np.testing.assert_array_equal(out.data, stored.astype(np.float32))
+        feats = featurize_events([Event(T0, STOVE, "ON")], table, toy_config())
+        np.testing.assert_array_equal(feats.text["item"][0], stored)
 
     def test_miss_matches_fallback_oracle(self, table):
-        out = embed_attribute_text("unseen gadget", table)
-        np.testing.assert_allclose(out.data, fallback_embedding("unseen gadget", 8),
-                                   rtol=1e-6)
+        gadget = Sensor("g1", "power", "unseen gadget", "kitchen")
+        feats = featurize_events([Event(T0, gadget, "ON")], table, toy_config())
+        np.testing.assert_allclose(feats.text["item"][0],
+                                   fallback_embedding("unseen gadget", 8), rtol=1e-6)
 
     def test_null_uses_learned_slot_vector(self, table):
         config = toy_config()
         params = make_params(config)
-        out = embed_attribute_text(None, table, params, "room")
-        assert out is params["null_room"]
-        again = embed_attribute_text("", table, params, "room")
-        assert again is params["null_room"]
+        blank = Sensor("w2", "wearable", house_item="  ", room="")
+        for sensor in (WEARABLE, blank):  # None and blank attributes are both NULL
+            feats = featurize_events([Event(T0, sensor, "ON")], table, config)
+            assert feats.null_mask["room"][0, 0] == 1.0
+            assert not feats.text["room"].any()
+        batch = batch_of([Event(T0, WEARABLE, "ON")], table, config)
+        base = encode_batch(batch, params, config).data
+        # the room slot reads only the learned NULL vector, never the text row
+        batch.text["room"][:] = 5.0
+        np.testing.assert_array_equal(encode_batch(batch, params, config).data, base)
+        params["null_room"].data = params["null_room"].data + 1.0
+        assert not np.allclose(encode_batch(batch, params, config).data, base)
 
     def test_mask_is_not_text_embedding_of_the_word(self, table):
         config = toy_config()
         params = make_params(config)
-        out = embed_attribute_text("anything", table, params, "item", masked=True)
-        assert out is params["mask_item"]
-        assert not np.allclose(out.data, table.lookup("mask"))
+        masks = slot_masks(0)  # house item
+        batch = batch_of([Event(T0, STOVE, "ON")], table, config, masks)
+        base = encode_batch(batch, params, config).data
+        batch.text["item"][:] = table.lookup("mask")
+        np.testing.assert_array_equal(encode_batch(batch, params, config).data, base)
+        params["mask_item"].data = params["mask_item"].data + 1.0
+        assert not np.allclose(encode_batch(batch, params, config).data, base)
 
-    def test_null_without_params_rejected(self, table):
-        with pytest.raises(ValueError, match="params"):
-            embed_attribute_text(None, table)
+    def test_mask_wins_over_null(self, table):
+        config = toy_config()
+        params = make_params(config)
+        event = Event(T0, WEARABLE, "ON")  # NULL item, masked below
+        base = encode([event], table, params, config, slot_masks(0))
+        params["null_item"].data = params["null_item"].data + 1.0
+        np.testing.assert_array_equal(encode([event], table, params, config, slot_masks(0)),
+                                      base)
 
 
 class TestEncodeTemporal:
-    def test_shapes_and_determinism(self):
+    def test_shapes_and_determinism(self, table):
         config = toy_config()
         params = make_params(config)
-        a = encode_temporal(2, 6, 1800, params, config)
-        b = encode_temporal(2, 6, 1800, params, config)
-        for va, vb in zip(a, b):
-            assert va.shape == (config.d,)
-            np.testing.assert_array_equal(va.data, vb.data)
-
-    def test_range_validation(self):
-        config = toy_config()
-        params = make_params(config)
-        with pytest.raises(ValueError):
-            encode_temporal(7, 0, 0, params, config)
-        with pytest.raises(ValueError):
-            encode_temporal(0, 24, 0, params, config)
+        event = Event(T0, STOVE, "ON")
+        dow, hour, sec = extract_time_features(T0)
+        feats = featurize_events([event], table, config)
+        np.testing.assert_array_equal(feats.dow_feats[0],
+                                      cyclical_features(dow, 7.0, config.harmonics))
+        np.testing.assert_array_equal(feats.hour_feats[0],
+                                      cyclical_features(hour, 24.0, config.harmonics))
+        assert feats.sec_ids[0] == seconds_bucket(sec, config.seconds_buckets)
+        a = encode([event], table, params, config)
+        b = encode([event], table, params, config)
+        assert a.shape == (1, config.d)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestEncodeStatus:
-    def test_deterministic_lookup(self):
-        params = make_params(toy_config())
-        np.testing.assert_array_equal(encode_status("ON", params).data,
-                                      encode_status("ON", params).data)
+    def test_deterministic_lookup(self, table):
+        config = toy_config()
+        params = make_params(config)
+        events = [Event(T0, STOVE, "ON"), Event(T0 + 60, STOVE, "OFF")]
+        np.testing.assert_array_equal(featurize_events(events, table, config).status_ids,
+                                      [0, 1])
+        np.testing.assert_array_equal(encode(events, table, params, config),
+                                      encode(events, table, params, config))
 
-    def test_three_distinct_rows(self):
-        params = make_params(toy_config())
-        on = encode_status("ON", params).data
-        off = encode_status("OFF", params).data
-        mask = encode_status("MASK", params).data
-        assert not np.array_equal(on, off)
-        assert not np.array_equal(on, mask)
-        assert params["status_table"].shape == (3, toy_config().d)
+    def test_three_distinct_rows(self, table):
+        config = toy_config()
+        params = make_params(config)
+        on, off = Event(T0, STOVE, "ON"), Event(T0, STOVE, "OFF")
+        masked_batch = batch_of([on], table, config, slot_masks(6))
+        assert masked_batch.status_ids[0, 0] == 2  # MASK substituted into the ids
+        rows = [encode([on], table, params, config)[0],
+                encode([off], table, params, config)[0],
+                encode_batch(masked_batch, params, config).data[0, 0]]
+        assert not np.array_equal(rows[0], rows[1])
+        assert not np.array_equal(rows[0], rows[2])
+        assert not np.array_equal(rows[1], rows[2])
+        assert params["status_table"].shape == (3, config.d)
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            encode_status("HALF", make_params(toy_config()))
+        # an unknown status cannot reach the encoder: events reject it
+        with pytest.raises(ValueError, match="ON or OFF"):
+            Event(T0, STOVE, "HALF")
 
 
 class TestEncodeEvent:
     def test_pure_function_of_inputs(self, table):
         config = toy_config()
         params = make_params(config)
-        event = Event(1_700_000_000, STOVE, "ON")
-        a = encode_event(event, None, table, params, config)
-        b = encode_event(event, None, table, params, config)
-        np.testing.assert_array_equal(a.data, b.data)
-        assert a.shape == (config.d,)
+        event = Event(T0, STOVE, "ON")
+        a = encode([event], table, params, config)
+        b = encode([event], table, params, config)
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (1, config.d)
 
     def test_masking_room_changes_output_only_via_room_slot(self, table):
         config = toy_config()
         params = make_params(config)
-        event = Event(1_700_000_000, STOVE, "ON")
-        masks = [False] * N_SLOTS
-        plain = encode_event(event, masks, table, params, config)
-        masks[1] = True  # room slot
-        masked = encode_event(event, masks, table, params, config)
-        assert not np.allclose(plain.data, masked.data)
+        event = Event(T0, STOVE, "ON")
+        plain = batch_of([event], table, config, slot_masks())
+        masked = batch_of([event], table, config, slot_masks(1))  # room slot
+        assert not np.allclose(encode_batch(plain, params, config).data,
+                               encode_batch(masked, params, config).data)
         # the other slot inputs are untouched: featurized constants are identical
-        feats = featurize_events([event], table, config)
-        np.testing.assert_array_equal(feats.text["item"], feats.text["item"])
-        np.testing.assert_array_equal(feats.status_ids, [0])
+        for slot in ("item", "room", "type"):
+            np.testing.assert_array_equal(plain.text[slot], masked.text[slot])
+        np.testing.assert_array_equal(masked.status_ids, [[0]])
+        np.testing.assert_array_equal(masked.slot_mask[0, 0], slot_masks(1))
 
     def test_null_attributes_use_null_path(self, table):
         config = toy_config()
         params = make_params(config)
-        event = Event(1_700_000_000, WEARABLE, "ON")
-        out = encode_event(event, None, table, params, config)
-        assert np.isfinite(out.data).all()
+        event = Event(T0, WEARABLE, "ON")
+        out = encode([event], table, params, config)
+        assert np.isfinite(out).all()
         feats = featurize_events([event], table, config)
         assert feats.null_mask["room"][0, 0] == 1.0
         assert feats.null_mask["item"][0, 0] == 1.0
@@ -190,23 +238,20 @@ class TestEncodeEvent:
     def test_slot_identity_breaks_attribute_permutation(self, table):
         config = toy_config()
         params = make_params(config)
-        s1 = Event(1_700_000_000, BED, "ON")  # item=bed, room=bedroom
-        swapped_sensor = BED.__class__("b_bed", "pressure", "bedroom", "bed")
-        s2 = Event(1_700_000_000, swapped_sensor, "ON")
-        a = encode_event(s1, None, table, params, config)
-        b = encode_event(s2, None, table, params, config)
-        assert not np.allclose(a.data, b.data)
+        s1 = Event(T0, BED, "ON")  # item=bed, room=bedroom
+        swapped_sensor = Sensor("b_bed", "pressure", "bedroom", "bed")
+        s2 = Event(T0, swapped_sensor, "ON")
+        a = encode([s1], table, params, config)
+        b = encode([s2], table, params, config)
+        assert not np.allclose(a, b)
 
     def test_full_event_mask_gives_same_vector_for_different_events(self, table):
         config = toy_config()
         params = make_params(config)
-        masks = [True] * N_SLOTS
-        t = 1_700_000_000
-        a = encode_event(Event(t, STOVE, "ON"), masks, table, params, config)
-        b = encode_event(Event(t, BED, "OFF"), masks, table, params, config)
-        # same timestamp: dow/hour/sec masks replace identical features anyway;
-        # all slots masked means both events present only MASK vectors
-        np.testing.assert_array_equal(a.data, b.data)
+        events = [Event(T0, STOVE, "ON"), Event(T0 + 4000, BED, "OFF")]
+        rows = encode(events, table, params, config, np.ones((2, N_SLOTS)))
+        # all slots masked: both events present only MASK vectors
+        np.testing.assert_array_equal(rows[0], rows[1])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_gradient_full_event_encoder(self, seed, table):
@@ -227,14 +272,15 @@ class TestEncodeEvent:
 
 class TestBatchedEncoding:
     def test_batch_matches_single_event_path(self, table):
+        # context-free: each event's row is the same, up to BLAS rounding, when
+        # the event is encoded alone
         config = toy_config()
         params = make_params(config)
         window = make_window(n=3, seed=1)
-        batch = build_batch([window], {}, table=table, config=config)
-        out = encode_batch(batch, params, config)
+        out = encode(window.events, table, params, config)
         for i, event in enumerate(window.events):
-            single = encode_event(event, None, table, params, config)
-            np.testing.assert_allclose(out.data[0, i], single.data, rtol=1e-5, atol=1e-6)
+            single = encode([event], table, params, config)
+            np.testing.assert_allclose(out[i], single[0], rtol=1e-5, atol=1e-6)
 
     def test_stream_features_slicing_matches_ad_hoc(self, table):
         config = toy_config()

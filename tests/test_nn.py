@@ -226,12 +226,24 @@ class TestParamGroup:
         assert g["w"].data[0] == 1.0
 
     def test_frozen_group_untouched_by_apply(self):
-        from domusfm.nn import apply_gradients
+        # fine-tuning applies Adam group by group; a frozen backbone keeps its
+        # bytes and has stale gradients cleared, never applied
+        from conftest import make_window, toy_config
+        from domusfm.downstream import FinetuneSettings, FinetuneStrategy, TrainItem, finetune
+        from domusfm.embeddings import fallback_table
+        from domusfm.model import CONTEXT_GROUP, EVENT_GROUP, Model
 
-        g = ParamGroup("g", frozen=True)
-        g.add("w", np.ones(3, dtype=np.float32))
-        g["w"].grad = np.ones(3, dtype=np.float32)
-        before = g.state_bytes()
-        apply_gradients([g], {"g": init_adam(g.tensors)})
-        assert g.state_bytes() == before
-        assert g["w"].grad is None
+        model = Model.init(toy_config(), fallback_table(8), seed=0)
+        backbone = [model.groups[name] for name in (EVENT_GROUP, CONTEXT_GROUP)]
+        for g in backbone:
+            for t in g.tensors.values():
+                t.grad = np.ones_like(t.data)
+        before = [g.state_bytes() for g in backbone]
+        items = [TrainItem(make_window(n=4, seed=i), label=("cook", "sleep")[i % 2])
+                 for i in range(8)]
+        finetune(model, items, "adl",
+                 FinetuneSettings(strategy=FinetuneStrategy.HEAD_ONLY, epochs=2,
+                                  batch_size=4, seed=0),
+                 classes=("cook", "sleep"))
+        assert [g.state_bytes() for g in backbone] == before
+        assert all(t.grad is None for g in backbone for t in g.tensors.values())

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from domusfm.events import OFF, ON, Event, EventStream, Sensor
-from domusfm.segmentation import (
-    SegmentationConfig,
-    Window,
-    segment_events,
-    segment_time,
-    window_label,
-)
+from domusfm.segmentation import Window, segment_events, segment_time
 
 S = Sensor("M1", "motion")
 
@@ -103,35 +97,35 @@ class TestWindowLabel:
     def test_label_of_last_event(self):
         stream = make_stream(5, labeler=lambda i: "cooking" if i == 4 else "other")
         (window,) = segment_events(stream, n=5, overlap=0)
-        assert window_label(window) == "cooking"
         assert window.label == "cooking"
 
     def test_unlabeled_final_event(self):
         stream = make_stream(5, labeler=lambda i: "x" if i < 4 else None)
         (window,) = segment_events(stream, n=5, overlap=0)
-        assert window_label(window) is None
+        assert window.label is None
 
     def test_single_event_window(self):
         stream = make_stream(1, labeler=lambda i: "nap")
         (window,) = segment_events(stream, n=1, overlap=0)
-        assert window_label(window) == "nap"
+        assert window.label == "nap"
 
     def test_invariant_under_non_final_relabeling(self):
         stream_a = make_stream(6, labeler=lambda i: "a")
         stream_b = EventStream(stream_a.events, ("z", "z", "z", "z", "z", "a"))
         (wa,) = segment_events(stream_a, n=6, overlap=0)
         (wb,) = segment_events(stream_b, n=6, overlap=0)
-        assert window_label(wa) == window_label(wb)
+        assert wa.label == wb.label
 
 
 class TestConfig:
     def test_validations(self):
-        with pytest.raises(ValueError):
-            SegmentationConfig(mode="event_based", n_events=10, overlap=10)
-        with pytest.raises(ValueError):
-            SegmentationConfig(mode="time_based", delta_t=0)
-        with pytest.raises(ValueError):
-            SegmentationConfig(mode="sideways")
+        stream = make_stream(20)
+        with pytest.raises(ValueError, match="overlap"):
+            segment_events(stream, n=10, overlap=10)
+        with pytest.raises(ValueError, match="delta_t"):
+            segment_time(stream, delta_t=0)
+        with pytest.raises(ValueError, match="overlap_fraction"):
+            segment_time(stream, delta_t=5, overlap_fraction=1.0)
 
     def test_window_requires_events(self):
         with pytest.raises(ValueError):

@@ -349,7 +349,13 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # a shared weight: one 2-D GEMM over all rows, not a stack of
+            # per-batch products summed afterwards
+            k, m = b.data.shape
+            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+        else:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         _accumulate(a, _unbroadcast(ga, a.data.shape))
         _accumulate(b, _unbroadcast(gb, b.data.shape))
 

@@ -54,7 +54,8 @@ def atomic_write(path: str, chunks: Iterable):
     """Write ``chunks`` (bytes-like) to ``path`` through a temp file beside it.
 
     The temp file replaces ``path`` only once every chunk is written; on any
-    failure it is removed and ``path`` is left as it was.
+    failure it is removed and ``path`` is left as it was. The file gets the
+    mode ``open()`` would give it (0666 less the umask), not ``mkstemp``'s 0600.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -63,6 +64,9 @@ def atomic_write(path: str, chunks: Iterable):
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -82,29 +86,37 @@ def read_checkpoint(path: str) -> tuple[list[ParamGroup], dict]:
         blob = fh.read()
     if blob[:8] != MAGIC:
         raise CheckpointError(f"bad magic bytes in {path!r}")
+    if len(blob) < 16:
+        raise CheckpointError(f"truncated checkpoint {path!r}: {len(blob)} bytes, "
+                              f"no header length")
     (header_len,) = struct.unpack("<Q", blob[8:16])
     try:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     payload = blob[16 + header_len:]
-    groups = []
-    for gspec in header["groups"]:
-        group = ParamGroup(gspec["name"], frozen=bool(gspec["frozen"]))
-        for tspec in gspec["tensors"]:
-            if tspec["dtype"] not in _DTYPES:
-                raise CheckpointError(f"unsupported dtype {tspec['dtype']!r} "
-                                      f"for tensor {tspec['name']!r}")
-            shape = tuple(tspec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            start = tspec["offset"]
-            end = start + 4 * count
-            if end > len(payload):
-                raise CheckpointError(f"tensor {tspec['name']!r} overruns payload")
-            arr = np.frombuffer(payload[start:end], dtype=_DTYPES[tspec["dtype"]])
-            group.add(tspec["name"], arr.reshape(shape).copy())
-        groups.append(group)
+    try:
+        groups = [_read_group(gspec, payload) for gspec in header["groups"]]
+    except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong type
+        raise CheckpointError(f"malformed checkpoint header in {path!r}: {exc!r}") from exc
     return groups, header.get("meta", {})
+
+
+def _read_group(gspec: dict, payload: bytes) -> ParamGroup:
+    group = ParamGroup(gspec["name"], frozen=bool(gspec["frozen"]))
+    for tspec in gspec["tensors"]:
+        if tspec["dtype"] not in _DTYPES:
+            raise CheckpointError(f"unsupported dtype {tspec['dtype']!r} "
+                                  f"for tensor {tspec['name']!r}")
+        shape = tuple(tspec["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        start = tspec["offset"]
+        end = start + 4 * count
+        if end > len(payload):
+            raise CheckpointError(f"tensor {tspec['name']!r} overruns payload")
+        arr = np.frombuffer(payload[start:end], dtype=_DTYPES[tspec["dtype"]])
+        group.add(tspec["name"], arr.reshape(shape).copy())
+    return group
 
 
 def load_into_groups(path: str, groups: dict[str, ParamGroup]) -> dict:

@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, grad_enabled, no_grad
+from .autodiff import Tensor, no_grad, reshape, take_rows
 from .checkpoint import load_into_groups, save_checkpoint
 from .context_encoder import contextualize, init_context_encoder, pool_sequence
 from .embeddings import AttributeEmbeddingTable, fallback_table
@@ -92,19 +92,31 @@ class Model:
         """h_e for a batch: (B, N, d)."""
         return encode_batch(batch, self.event_params, self.config)
 
-    def event_rows(self, windows: Sequence[Window]) -> Tensor:
-        """Forward-only h_e (B, N, d) that encodes each distinct stream event once.
+    def event_rows(self, windows: Sequence[Window],
+                   masks: Optional[np.ndarray] = None) -> Tensor:
+        """h_e (B, N, d) that encodes each distinct event of a batch once.
 
-        The event encoder is context-free, so an event's row does not depend on
-        the window holding it: windows of a featurized stream share one row per
-        stream index. Windows of any other dataset carry their own events and
-        are featurized one by one, as ``build_batch`` does.
+        This is the one path to event embeddings, with or without a tape. The
+        event encoder is context-free, so a row depends only on the event and
+        its mask flags, not on the window holding it: windows of a featurized
+        stream share one row per (stream index, mask bits). Windows of any
+        other dataset carry their own events and get one row per event, as
+        ``build_batch`` gives them. The distinct rows are encoded in one batch
+        and gathered back with ``take_rows``, whose backward sums the gradient
+        of a shared row over every place it is used. ``masks`` is (B, N, 7)
+        0/1 flags; slot 6 masks the status.
         """
-        n = len(windows[0])
+        b, n = len(windows), len(windows[0])
         if any(len(w) != n for w in windows):
             raise ValueError("all windows in a batch must have the same length")
-        index = np.empty((len(windows), n), dtype=np.int64)
-        blocks, total = [], 0
+        bits = np.zeros((b, n), dtype=np.int64)
+        if masks is not None:
+            if np.shape(masks) != (b, n, N_SLOTS):
+                raise ValueError(f"masks shape {np.shape(masks)} does not match "
+                                 f"{b} windows of {n} events")
+            bits = (np.asarray(masks) > 0.5).astype(np.int64) @ (1 << np.arange(N_SLOTS))
+        index = np.empty((b, n), dtype=np.int64)
+        blocks, row_bits, total = [], [], 0
         by_stream: dict[str, list[int]] = {}
         for i, w in enumerate(windows):
             if w.dataset in self.features:
@@ -112,20 +124,24 @@ class Model:
             else:
                 blocks.append((featurize_events(w.events, self.table, self.config),
                                slice(0, n)))
+                row_bits.append(bits[i])
                 index[i] = total + np.arange(n)
                 total += n
         for name, members in by_stream.items():
             spans = np.array([windows[i].start for i in members])[:, None] + np.arange(n)
-            rows, inverse = np.unique(spans, return_inverse=True)
-            blocks.append((self.features[name], rows))
+            keys, inverse = np.unique((spans << N_SLOTS) | bits[members],
+                                      return_inverse=True)
+            blocks.append((self.features[name], keys >> N_SLOTS))
+            row_bits.append(keys & ((1 << N_SLOTS) - 1))
             index[members] = total + inverse.reshape(spans.shape)
-            total += len(rows)
+            total += len(keys)
         # One (1, R) batch, or (R, 1) for one-event windows: either way BLAS runs
         # the kernel the per-window path runs, so the rows match it bitwise.
         shape = (1, total) if n > 1 else (total, 1)
-        with no_grad():
-            encoded = self.encode_events(gather_batch(blocks, shape))
-        return Tensor(encoded.data.reshape(total, -1)[index])
+        slot_mask = (np.concatenate(row_bits)[:, None] >> np.arange(N_SLOTS)) & 1
+        encoded = self.encode_events(
+            gather_batch(blocks, shape, slot_mask.reshape(shape + (N_SLOTS,))))
+        return take_rows(reshape(encoded, (total, self.config.d)), index)
 
     def masked_event_row(self, window: Window) -> np.ndarray:
         """h_e (d,) of a fully masked event, one constant row for every event.
@@ -152,14 +168,10 @@ class Model:
                        context_enabled: Optional[bool] = None) -> tuple[Tensor, Tensor]:
         """(contextualized (B, N, d), pooled (B, d)) for a batch of windows.
 
-        Only a pass that records a tape can train the event encoder, so only
-        that one encodes window by window; every other pass takes ``event_rows``.
+        Taped (``full`` fine-tuning) and tape-free passes take the same path:
+        the event rows come from ``event_rows``.
         """
-        if grad_enabled():
-            embeddings = self.encode_events(self.batch(windows))
-        else:
-            embeddings = self.event_rows(windows)
-        ctx = self.contextualize(embeddings, context_enabled)
+        ctx = self.contextualize(self.event_rows(windows), context_enabled)
         return ctx, pool_sequence(ctx)
 
     # -- persistence -----------------------------------------------------

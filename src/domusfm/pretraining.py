@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, l2_normalize, log_softmax, matmul, transpose
+from .autodiff import Tensor, l2_normalize, log_softmax, matmul, no_grad, transpose
 from .event_encoder import N_SLOTS
 from .ingest import build_sampling_plan
 from .model import CONTEXT_GROUP, EVENT_GROUP, Model
@@ -132,6 +132,19 @@ class PretrainResult:
     seen_datasets: set[str]
 
 
+def phase1_loss(model: Model, windows: Sequence[Window], masks: np.ndarray,
+                config: PretrainConfig) -> Tensor:
+    """InfoNCE between windows and their attribute-masked views (``masks``, (B, N, 7)).
+
+    Both views go through one ``event_rows`` call, so an event the mask leaves
+    untouched is encoded once and shared by its anchor and its positive.
+    """
+    b = len(windows)
+    views = np.concatenate([np.zeros_like(masks), masks])
+    pooled = model.event_rows(list(windows) * 2, views).mean(axis=1)
+    return infonce(pooled[:b], pooled[b:], config.temperature, config.symmetric)
+
+
 def _batches(draws: list[tuple[str, int]], size: int):
     for lo in range(0, len(draws), size):
         chunk = draws[lo:lo + size]
@@ -168,10 +181,8 @@ def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
 
     def phase1_step(windows, rng):
         pairs = [augment_mask_attribute(w, config.p_event_select, rng) for w in windows]
-        masks = np.stack([p.augmented.mask for p in pairs]).astype(np.float64)
-        anchors = model.encode_events(model.batch(windows)).mean(axis=1)
-        positives = model.encode_events(model.batch(windows, masks)).mean(axis=1)
-        loss = infonce(anchors, positives, config.temperature, config.symmetric)
+        masks = np.stack([p.augmented.mask for p in pairs])
+        loss = phase1_loss(model, windows, masks, config)
         value = loss.item()
         loss.backward()
         adam_step(event_group.tensors, group_grads(event_group), adam1)
@@ -189,7 +200,8 @@ def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
     def phase2_step(windows, rng):
         pairs = [augment_mask_event(w, config.p_event_mask, rng) for w in windows]
         masked = np.stack([p.augmented.mask.all(axis=1) for p in pairs])[:, :, None]
-        anchors_in = model.event_rows(windows)
+        with no_grad():  # the event encoder is frozen: keep it off the tape
+            anchors_in = model.event_rows(windows)
         # a fully masked event encodes to one constant row: no second encoder pass
         positives_in = Tensor(np.where(masked, model.masked_event_row(windows[0]),
                                        anchors_in.data))

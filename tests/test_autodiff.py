@@ -87,6 +87,26 @@ class TestPrimitiveGradients:
         assert _check(build, seed) < TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shape", [(6, 7, 4), (2, 3, 5, 4)])
+    def test_weight_matmul(self, seed, shape):
+        # batched rows times one shared 2-D weight, the weight gradient taken
+        # as a single GEMM over the flattened rows; also through a transposed
+        # (non-contiguous) input
+        def build(rng):
+            a = parameter(rng.normal(size=shape))
+            w = parameter(rng.normal(size=(4, 3)))
+
+            def f():
+                lead = len(shape) - 3
+                flipped = ad.transpose(a, tuple(range(lead)) + (lead + 1, lead, lead + 2))
+                rng = np.random.default_rng(seed + 100)
+                return _projected_sum(a @ w, rng) + _projected_sum(flipped @ w, rng)
+
+            return [a, w], f
+
+        assert _check(build, seed) < TOL
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_reductions_and_shapes(self, seed):
         def build(rng):
             a = parameter(rng.normal(size=(3, 4, 2)))

@@ -1,5 +1,10 @@
 """Checkpoint container: roundtrips, byte stability, mismatch rejection."""
 
+import json
+import os
+import stat
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,6 +101,27 @@ class TestLoadIntoModel:
             read_checkpoint(str(path))
 
 
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(MAGIC + b"\x00" * 4)
+        with pytest.raises(CheckpointError, match="truncated"):
+            read_checkpoint(str(path))
+
+    @pytest.mark.parametrize("header", [
+        {"format": 1},
+        {"format": 1, "groups": [{"name": "encoder", "tensors": []}]},
+        {"format": 1, "groups": [{"name": "encoder", "frozen": False,
+                                  "tensors": [{"name": "w", "dtype": "f4"}]}]},
+        [1, 2],
+    ], ids=["no_groups", "no_frozen", "no_shape", "not_an_object"])
+    def test_header_missing_field_rejected(self, tmp_path, header):
+        raw = json.dumps(header).encode()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw)
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            read_checkpoint(str(path))
+
+
 class TestAtomicWrite:
     @staticmethod
     def failing_chunks():
@@ -117,3 +143,16 @@ class TestAtomicWrite:
         target = tmp_path / "new" / "out.csv"
         atomic_write(str(target), [b"a,", b"b\n"])
         assert target.read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_mode_matches_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            atomic_write(str(tmp_path / "atomic.csv"), [b"x"])
+            with open(tmp_path / "plain.csv", "wb") as fh:
+                fh.write(b"x")
+        finally:
+            os.umask(previous)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("atomic.csv", "plain.csv")]
+        assert modes[0] == modes[1] == 0o666 & ~umask

@@ -252,6 +252,29 @@ class TestEvalCommands:
         assert main(argv) == EXIT_USAGE
 
 
+class TestBadCheckpoint:
+    @pytest.fixture
+    def homes(self, workspace):
+        for seed, name in ((1, "home1.csv"), (2, "home2.csv"), (7, "home3.csv")):
+            synth(workspace, name, seed=seed)
+        return workspace
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    @pytest.mark.parametrize("blob", [
+        b"DOMUSFM1\x00\x00\x00\x00",
+        b"DOMUSFM1" + len(b'{"format":1}').to_bytes(8, "little") + b'{"format":1}',
+    ], ids=["twelve_bytes", "header_without_groups"])
+    def test_is_data_error(self, homes, capsys, command, blob):
+        (homes / "bad.ckpt").write_bytes(blob)
+        argv = [command, "--config", "run.cfg",
+                "--set", "paths.datasets=home1.csv,home2.csv,home3.csv",
+                "--checkpoint", "bad.ckpt", "--held-out", "home3"]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1
+        assert "checkpoint" in err and "Traceback" not in err
+
+
 class TestHomeSpecJson:
     def test_roundtrip_fields(self):
         spec = home_spec_from_json(json.dumps(HOME_SPEC).encode())

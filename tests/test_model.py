@@ -1,17 +1,26 @@
-"""Forward-only event rows: bitwise equal to the per-window encoder path, once per event."""
+"""Event rows: bitwise equal to the per-window encoder path, once per distinct event."""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from conftest import make_window, toy_config
-from domusfm import evaluation, model as model_module
-from domusfm.autodiff import no_grad
+from domusfm import evaluation, model as model_module, pretraining
+from domusfm.autodiff import grad_check, no_grad, precision
 from domusfm.benchmark import three_home_corpus
 from domusfm.context_encoder import pool_sequence
+from domusfm.downstream import adl_loss, init_adl_head
 from domusfm.embeddings import fallback_table
 from domusfm.event_encoder import N_SLOTS
 from domusfm.model import Model
-from domusfm.pretraining import augment_mask_event
+from domusfm.pretraining import (
+    PretrainConfig,
+    augment_mask_attribute,
+    augment_mask_event,
+    phase1_loss,
+    pretrain,
+)
 from domusfm.segmentation import segment_events
 
 
@@ -66,6 +75,22 @@ class TestEventRows:
         np.testing.assert_array_equal(ctx.data, ctx_ref.data)
         np.testing.assert_array_equal(pooled.data, pool_sequence(ctx_ref).data)
 
+    @pytest.mark.parametrize("tape", [no_grad, nullcontext], ids=["no_tape", "tape"])
+    @pytest.mark.parametrize("n", [4, 1])
+    def test_masked_rows_match_per_window_path(self, homes, n, tape):
+        model = make_model(homes, n)
+        windows = mixed_windows(homes, n)
+        rng = np.random.default_rng(n)
+        # single-slot, fully masked and unmasked events, the same stream event
+        # masked differently in different windows
+        masks = rng.random((len(windows), n, N_SLOTS)) < 0.2
+        masks[rng.random((len(windows), n)) < 0.1] = True
+        assert masks.any(axis=2).any() and not masks.any(axis=2).all()
+        with tape():
+            reference = per_window_rows(model, windows, masks)
+            rows = model.event_rows(windows, masks).data
+        np.testing.assert_array_equal(rows, reference)
+
     def test_ad_hoc_windows_with_equal_starts_keep_their_own_events(self, homes):
         model = make_model(homes, 4)
         windows = [make_window(n=4, seed=seed) for seed in range(3)]
@@ -78,6 +103,11 @@ class TestEventRows:
         model = make_model(homes, 4)
         with pytest.raises(ValueError, match="same length"):
             model.event_rows([make_window(n=4), make_window(n=3)])
+
+    def test_mask_shape_rejected(self, homes):
+        model = make_model(homes, 4)
+        with pytest.raises(ValueError, match="masks shape"):
+            model.event_rows([make_window(n=4)] * 2, np.zeros((2, 3, N_SLOTS)))
 
     def test_taped_path_still_reaches_event_encoder(self, homes):
         model = make_model(homes, 4)
@@ -131,3 +161,73 @@ class TestEncodeOncePerEvent:
         evaluation.batched_pooled(model, windows, chunk=chunk)
         sizes = [len(windows[lo:lo + chunk]) for lo in range(0, len(windows), chunk)]
         assert encoded == [w + n - 1 for w in sizes]
+
+    def test_phase1_step_encodes_distinct_rows_once(self, homes, monkeypatch):
+        n, b = 4, 16
+        model = make_model(homes, n)
+        name = homes[0].name
+        windows = stride_one(homes, n)[name][:b]
+        encoded, pairs = [], []
+        original_encode = model_module.encode_batch
+        original_augment = pretraining.augment_mask_attribute
+
+        def counting(batch, *args, **kwargs):
+            encoded.append(batch.shape[0] * batch.shape[1])
+            return original_encode(batch, *args, **kwargs)
+
+        def recording(*args, **kwargs):
+            pairs.append(original_augment(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(model_module, "encode_batch", counting)
+        monkeypatch.setattr(pretraining, "augment_mask_attribute", recording)
+        config = PretrainConfig(batch_size=b, epochs_phase1=1, epochs_phase2=0,
+                                windows_per_dataset=b, p_event_select=0.5)
+        assert len(pretrain({name: windows}, config, model).history) == 1
+        unmasked = {p.original.start + j for p in pairs for j in range(n)}
+        masked = {(p.original.start + j, tuple(p.augmented.mask[j]))
+                  for p in pairs for j in range(n) if p.augmented.mask[j].any()}
+        assert masked and len(unmasked) < b * n
+        assert encoded == [len(unmasked) + len(masked)]
+
+
+class TestGatheredGradients:
+    """Float64 finite differences through the shared rows; stride-1 windows
+    repeat each stream event, so the gather's backward must sum over uses."""
+
+    @staticmethod
+    def setup(homes, seed, n=3):
+        config = toy_config(n_window=n)
+        model = Model.init(config, fallback_table(config.text_dim()), seed=seed)
+        for ds in homes:
+            model.add_stream_features(ds.name, ds.stream.events)
+        first, second = (stride_one(homes, n)[ds.name] for ds in homes)
+        windows = first[5:9] + [make_window(n=n, seed=seed)] + second[2:4] + first[6:7]
+        return model, windows
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_phase1_infonce(self, homes, seed):
+        with precision("float64"):
+            model, windows = self.setup(homes, seed)
+            rng = np.random.default_rng(seed)
+            masks = np.stack([augment_mask_attribute(w, 0.5, rng).augmented.mask
+                              for w in windows])
+            config = PretrainConfig(temperature=0.5)
+            err = grad_check(lambda: phase1_loss(model, windows, masks, config),
+                             list(model.event_params.tensors.values()), seed=seed)
+        assert err < 1e-4
+
+    def test_full_adl_loss(self, homes):
+        with precision("float64"):
+            model, windows = self.setup(homes, seed=2)
+            head = init_adl_head(["cook", "sleep", "other"], model.config.d, seed=2)
+            ids = np.arange(len(windows)) % 3
+
+            def f():
+                _, pooled = model.window_tensors(windows)
+                return adl_loss(pooled, ids, head)
+
+            params = [t for g in (*model.groups.values(), head.params)
+                      for t in g.tensors.values()]
+            err = grad_check(f, params, seed=2)
+        assert err < 1e-4

@@ -7,6 +7,7 @@ pretrain both stages contrastively before fine-tuning lightweight task heads
 for activity recognition and next-k event forecasting.
 """
 
+from .allocator import pin_malloc_thresholds
 from .context_encoder import contextualize, pool_sequence
 from .downstream import (
     AdlHead,
@@ -55,6 +56,8 @@ from .pretraining import PretrainConfig, augment_mask_attribute, augment_mask_ev
 from .segmentation import Window, segment_events, segment_time
 
 __version__ = "0.1.0"
+
+pin_malloc_thresholds()
 
 __all__ = [
     "AdlHead", "AttributeEmbeddingTable", "Dataset", "EvalProtocol", "Event",

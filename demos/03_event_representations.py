@@ -6,6 +6,8 @@ MASK vectors, and demonstrates that the context encoder lets neighboring
 events reshape each event's representation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from domusfm import Event, Model, ModelConfig, Sensor, Window
@@ -50,7 +52,9 @@ with no_grad():
     room_masked = model.encode_events(model.batch([kitchen], masks)).data[0]
     ctx_kitchen, _ = model.window_tensors([kitchen])
     ctx_bedroom, _ = model.window_tensors([bedroom])
-    ctx_ablated, _ = model.window_tensors([kitchen], context_enabled=False)
+    ablated = model.copy()  # the ablation is a model config flag
+    ablated.config = replace(model.config, context_enabled=False)
+    ctx_ablated, _ = ablated.window_tensors([kitchen])
 
 print(f"\nevent embedding h_e is {plain.shape[1]}-dimensional")
 print(f"masking the room slot moves h_e by "

@@ -409,7 +409,7 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     data = np.transpose(a.data, axes)
-    inverse = np.argsort(axes)
+    inverse = np.argsort([axis % a.ndim for axis in axes])
 
     def backward(g):
         _accumulate(a, np.transpose(g, inverse))

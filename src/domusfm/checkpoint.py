@@ -97,9 +97,12 @@ def read_checkpoint(path: str) -> tuple[list[ParamGroup], dict]:
     payload = blob[16 + header_len:]
     try:
         groups = [_read_group(gspec, payload) for gspec in header["groups"]]
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict) or not isinstance(meta.get("config", {}), dict):
+            raise TypeError("meta and meta.config must be objects")
     except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong type
         raise CheckpointError(f"malformed checkpoint header in {path!r}: {exc!r}") from exc
-    return groups, header.get("meta", {})
+    return groups, meta
 
 
 def _read_group(gspec: dict, payload: bytes) -> ParamGroup:
@@ -119,11 +122,16 @@ def _read_group(gspec: dict, payload: bytes) -> ParamGroup:
     return group
 
 
-def load_into_groups(path: str, groups: dict[str, ParamGroup]) -> dict:
+def load_into_groups(path: str, groups: dict[str, ParamGroup],
+                     config: dict | None = None) -> dict:
     """Load a checkpoint into existing groups.
 
-    Every (group, tensor, shape) is validated against the file before any
-    parameter is touched, so a mismatch leaves the model unchanged.
+    Every checkpoint tensor must exist in the model with the same shape; then
+    each ``config`` entry must equal the one in the checkpoint's ``meta.config``
+    (a key the checkpoint lacks is not compared); then every group the
+    checkpoint holds must hold no other tensors in the model. All of it is
+    validated before any parameter is touched, so a mismatch leaves the model
+    unchanged.
     """
     loaded, meta = read_checkpoint(path)
     plan = []
@@ -139,6 +147,15 @@ def load_into_groups(path: str, groups: dict[str, ParamGroup]) -> dict:
                     f"shape mismatch for {lg.name}/{name}: checkpoint "
                     f"{t.data.shape}, model {target.tensors[name].data.shape}")
             plan.append((target, lg.frozen, name, t.data))
+    saved = meta.get("config", {})
+    for key, value in (config or {}).items():
+        if key in saved and saved[key] != value:
+            raise CheckpointError(f"checkpoint was trained with {key}={saved[key]}, "
+                                  f"config says {key}={value}")
+    for lg in loaded:
+        missing = sorted(groups[lg.name].tensors.keys() - lg.tensors.keys())
+        if missing:
+            raise CheckpointError(f"model tensors {lg.name}/{missing} missing from checkpoint")
     for target, frozen, name, data in plan:
         target.tensors[name].data = data.astype(target.tensors[name].data.dtype)
         target.frozen = frozen

@@ -213,8 +213,10 @@ def load_datasets(config: dict) -> list[Dataset]:
 
 def load_table(config: dict):
     path = config["paths.embedding_table"]
-    if not path:
-        return None
+    return read_table(path) if path else None
+
+
+def read_table(path: str):
     try:
         with open(path, "rb") as fh:
             return load_table_tsv(fh.read())
@@ -284,8 +286,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_embed_table_check(args) -> int:
-    with open(args.table, "rb") as fh:
-        table = load_table_tsv(fh.read())
+    table = read_table(args.table)
     print(f"ok: {len(table.vectors)} tokens (reserved included), d_text={table.d_text}")
     return EXIT_OK
 
@@ -346,10 +347,7 @@ def _checkpoint_grid(args, config: dict, with_control: bool) -> int:
     held = next(ds for ds in datasets if ds.name == held_out)
 
     model = build_model(config)
-    meta = model.load(args.checkpoint)  # validates shapes before any mutation
-    if meta.get("config", {}).get("d") not in (None, lodo.model.d):
-        raise CheckpointError(f"checkpoint was trained at d={meta['config']['d']}, "
-                              f"config says d={lodo.model.d}")
+    model.load(args.checkpoint)  # validates architecture and shapes before any mutation
     for ds in datasets:
         model.add_stream_features(ds.name, ds.stream.events)
     windows = segment_events(held.stream, lodo.model.n_window, lodo.overlap,

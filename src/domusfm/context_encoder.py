@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, reshape, tensor_mean
+from .autodiff import Tensor, tensor_mean
 from .nn import (
     ParamGroup,
     feed_forward,
@@ -38,19 +38,14 @@ def init_context_encoder(config: ModelConfig, rng: np.random.Generator) -> Param
 
 def contextualize(event_embeddings: Tensor, params: ParamGroup,
                   config: ModelConfig) -> Tensor:
-    """h_cxt for every event: same shape as the input, (N, d) or (B, N, d)."""
+    """h_cxt for every event of a (B, N, d) batch: same shape as the input."""
     x = event_embeddings
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = reshape(x, (1,) + tuple(x.shape))
     for layer in range(config.layers):
         normed = layer_norm(x, params[f"l{layer}.ln1.g"], params[f"l{layer}.ln1.b"])
-        x = x + multi_head_attention(normed, normed, normed, config.heads,
-                                     params.tensors, prefix=f"l{layer}.attn")
+        x = x + multi_head_attention(normed, config.heads, params.tensors,
+                                     prefix=f"l{layer}.attn")
         normed = layer_norm(x, params[f"l{layer}.ln2.g"], params[f"l{layer}.ln2.b"])
         x = x + feed_forward(normed, params.tensors, f"l{layer}.ff")
-    if squeeze:
-        x = reshape(x, tuple(x.shape[1:]))
     return x
 
 

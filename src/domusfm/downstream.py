@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor, log_softmax, no_grad, softplus, tensor_mean, tensor_sum
 from .events import EventStream
 from .model import CONTEXT_GROUP, EVENT_GROUP, Model
-from .nn import NumericError, ParamGroup, adam_step, group_grads, init_adam, init_linear, linear
+from .nn import NumericError, ParamGroup, adam_step, init_adam, init_linear, linear
 from .segmentation import Window
 
 ADL_GROUP = "adl_head"
@@ -218,8 +218,7 @@ def finetune(model: Model, train_set: Sequence[TrainItem], task: str,
              settings: FinetuneSettings,
              head: Optional[AdlHead | NextKHead] = None,
              classes: Optional[Sequence[str]] = None,
-             vocabulary: Optional[Sequence[tuple[str, str]]] = None,
-             context_enabled: Optional[bool] = None):
+             vocabulary: Optional[Sequence[tuple[str, str]]] = None):
     """Train a task head (and optionally the backbone) on labeled windows.
 
     Returns the trained head. The model's encoder groups are updated in place
@@ -255,8 +254,10 @@ def finetune(model: Model, train_set: Sequence[TrainItem], task: str,
     model.set_frozen(EVENT_GROUP, backbone_frozen)
     model.set_frozen(CONTEXT_GROUP, backbone_frozen)
     model.groups[head.params.name] = head.params
-    states = {name: init_adam(g.tensors, lr=settings.lr)
-              for name, g in model.groups.items() if not g.frozen}
+    for group in model.groups.values():  # no stale gradient trains or lingers
+        group.zero_grad()
+    trainable = model.trainable_groups()
+    adam = init_adam(trainable, lr=settings.lr)
 
     rng = np.random.default_rng([settings.seed, 0xF1])
     items = list(train_set)
@@ -271,14 +272,12 @@ def finetune(model: Model, train_set: Sequence[TrainItem], task: str,
                 if missing:
                     with no_grad():
                         _, pooled_new = model.window_tensors(
-                            [windows[i] for i in missing],
-                            context_enabled=context_enabled)
+                            [windows[i] for i in missing])
                     for j, i in enumerate(missing):
                         rep_cache[id(chunk[i])] = pooled_new.data[j]
                 pooled = Tensor(np.stack([rep_cache[id(item)] for item in chunk]))
             else:
-                _, pooled = model.window_tensors(windows,
-                                                 context_enabled=context_enabled)
+                _, pooled = model.window_tensors(windows)
             if task == "adl":
                 ids = np.array([class_index[item.label] for item in chunk])
                 loss = adl_loss(pooled, ids, head)
@@ -289,12 +288,7 @@ def finetune(model: Model, train_set: Sequence[TrainItem], task: str,
             if not np.isfinite(loss.data).all():
                 raise NumericError(f"non-finite fine-tuning loss at epoch {epoch}")
             loss.backward()
-            for name, group in model.groups.items():
-                if group.frozen:
-                    group.zero_grad()
-                    continue
-                adam_step(group.tensors, group_grads(group), states[name])
-                group.zero_grad()
+            adam_step(trainable, adam)
     return head
 
 

@@ -117,6 +117,8 @@ def load_table_tsv(blob: bytes) -> AttributeEmbeddingTable:
             vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad float: {exc}") from exc
+        if not np.isfinite(vec).all():
+            raise ValueError(f"line {lineno}: non-finite value for token {token!r}")
         if d_text is None:
             d_text = vec.size
         elif vec.size != d_text:

@@ -221,36 +221,26 @@ def eligible_nextk_items(windows: Sequence[Window], dataset: Dataset,
     return items
 
 
-def batched_pooled(model: Model, windows: Sequence[Window], chunk: int = 256,
-                   context_enabled: Optional[bool] = None) -> np.ndarray:
+def batched_pooled(model: Model, windows: Sequence[Window], chunk: int = 256) -> np.ndarray:
     """Pooled representations for many windows, forward-only."""
     outputs = []
     with no_grad():
         for lo in range(0, len(windows), chunk):
-            _, pooled = model.window_tensors(windows[lo:lo + chunk],
-                                             context_enabled=context_enabled)
+            _, pooled = model.window_tensors(windows[lo:lo + chunk])
             outputs.append(pooled.data)
     return np.concatenate(outputs, axis=0)
 
 
-def adl_predictions(model: Model, head: AdlHead, items: Sequence[TrainItem],
-                    context_enabled: Optional[bool] = None) -> tuple[list, list]:
-    pooled = batched_pooled(model, [it.window for it in items],
-                            context_enabled=context_enabled)
+def adl_predictions(model: Model, head: AdlHead,
+                    items: Sequence[TrainItem]) -> tuple[list, list]:
+    pooled = batched_pooled(model, [it.window for it in items])
     preds = [head.classes[adl_predict(pooled[i], head)[1]] for i in range(len(items))]
     return preds, [it.label for it in items]
 
 
-def evaluate_adl(model: Model, head: AdlHead, items: Sequence[TrainItem],
-                 context_enabled: Optional[bool] = None) -> float:
-    preds, labels = adl_predictions(model, head, items, context_enabled)
-    return weighted_f1(preds, labels, head.classes)
-
-
-def evaluate_nextk(model: Model, head: NextKHead, items: Sequence[TrainItem], k: int,
-                   context_enabled: Optional[bool] = None) -> tuple[float, float, float]:
-    pooled = batched_pooled(model, [it.window for it in items],
-                            context_enabled=context_enabled)
+def evaluate_nextk(model: Model, head: NextKHead, items: Sequence[TrainItem],
+                   k: int) -> tuple[float, float, float]:
+    pooled = batched_pooled(model, [it.window for it in items])
     scores = []
     for i, item in enumerate(items):
         pred = nextk_predict(pooled[i], head, k)
@@ -269,7 +259,6 @@ class LodoConfig:
     finetune: FinetuneSettings
     overlap: int = 29
     run_control: bool = True
-    context_enabled: Optional[bool] = None  # None: follow model config
 
 
 def lodo_run(datasets: Sequence[Dataset], config: LodoConfig,
@@ -345,10 +334,8 @@ def _run_fold(report, backbone, held_out, train_w, test_w, pct, fold, seed,
     if train_adl and test_adl and len(classes) >= 2:
         sub = subsample_training(train_adl, pct, sub_seed)
         model = backbone.copy()
-        head = finetune(model, sub, "adl", settings, classes=classes,
-                        context_enabled=config.context_enabled)
-        preds, labels = adl_predictions(model, head, test_adl,
-                                        context_enabled=config.context_enabled)
+        head = finetune(model, sub, "adl", settings, classes=classes)
+        preds, labels = adl_predictions(model, head, test_adl)
         score = weighted_f1(preds, labels, classes)
         report.add(dataset=held_out.name, task="adl", pct=pct, fold=fold, seed=seed,
                    metric=f"weighted_f1{suffix}", value=score)
@@ -366,10 +353,8 @@ def _run_fold(report, backbone, held_out, train_w, test_w, pct, fold, seed,
         sub = subsample_training(train_k, pct, sub_seed + k)
         model = backbone.copy()
         head = finetune(model, sub, "nextk", settings,
-                        vocabulary=held_out.event_vocabulary(),
-                        context_enabled=config.context_enabled)
-        p, r, f1 = evaluate_nextk(model, head, test_k, k,
-                                  context_enabled=config.context_enabled)
+                        vocabulary=held_out.event_vocabulary())
+        p, r, f1 = evaluate_nextk(model, head, test_k, k)
         task = f"next{k}"
         for metric, value in (("precision", p), ("recall", r), ("f1", f1)):
             report.add(dataset=held_out.name, task=task, pct=pct, fold=fold,

@@ -255,7 +255,7 @@ def encode_batch(batch: EventBatch, params: ParamGroup, config: ModelConfig) -> 
     slots = concat([stacked, reshape(status, (b, n, 1, d))], axis=2)  # (B, N, 7, d)
 
     flat = reshape(slots, (b * n, N_SLOTS, d))
-    fused = multi_head_attention(flat, flat, flat, config.heads, params.tensors)
+    fused = multi_head_attention(flat, config.heads, params.tensors)
     pooled = tensor_mean(fused, axis=1)  # (B*N, d)
     out = linear(pooled, params["fuse.w"], params["fuse.b"])
     return reshape(out, (b, n, d))

@@ -156,22 +156,25 @@ class Model:
         with no_grad():
             return self.encode_events(self.batch([window], masks)).data[0, 0]
 
-    def contextualize(self, event_embeddings: Tensor,
-                      context_enabled: Optional[bool] = None) -> Tensor:
-        """h_cxt rows; with context disabled this is the identity (ablation)."""
-        enabled = self.config.context_enabled if context_enabled is None else context_enabled
-        if not enabled:
-            return event_embeddings
+    def contextualize(self, event_embeddings: Tensor) -> Tensor:
+        """h_cxt rows (B, N, d) from the context encoder.
+
+        It runs whatever ``config.context_enabled`` says: pretraining phase 2
+        trains the context encoder even for a model evaluated with the ablation.
+        """
         return contextualize(event_embeddings, self.context_params, self.config)
 
-    def window_tensors(self, windows: Sequence[Window],
-                       context_enabled: Optional[bool] = None) -> tuple[Tensor, Tensor]:
+    def window_tensors(self, windows: Sequence[Window]) -> tuple[Tensor, Tensor]:
         """(contextualized (B, N, d), pooled (B, d)) for a batch of windows.
 
         Taped (``full`` fine-tuning) and tape-free passes take the same path:
-        the event rows come from ``event_rows``.
+        the event rows come from ``event_rows``. With ``config.context_enabled``
+        off (the ablation) the context encoder is skipped and the event rows are
+        pooled as they are.
         """
-        ctx = self.contextualize(self.event_rows(windows), context_enabled)
+        ctx = self.event_rows(windows)
+        if self.config.context_enabled:
+            ctx = self.contextualize(ctx)
         return ctx, pool_sequence(ctx)
 
     # -- persistence -----------------------------------------------------
@@ -189,7 +192,14 @@ class Model:
         save_checkpoint(path, list(self.groups.values()), meta=self.meta())
 
     def load(self, path: str) -> dict:
-        return load_into_groups(path, self.groups)
+        """Load a checkpoint; it must match this model's architecture.
+
+        ``n_window`` and ``context_enabled`` are not compared: a checkpoint may
+        be evaluated on other window lengths and with the context ablation.
+        """
+        arch = {k: v for k, v in self.meta()["config"].items()
+                if k not in ("n_window", "context_enabled")}
+        return load_into_groups(path, self.groups, arch)
 
     def state_bytes(self) -> bytes:
         return b"".join(g.state_bytes() for g in self.groups.values())

@@ -130,59 +130,33 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(data, (x, gain, bias), backward)
 
 
-def multi_head_attention(q, k, v, heads: int, params: dict[str, Tensor],
+def multi_head_attention(x, heads: int, params: dict[str, Tensor],
                          prefix: str = "attn") -> Tensor:
-    """Scaled dot-product attention over the second-to-last axis.
+    """Scaled dot-product self-attention of a (b, n, d) batch over its n axis.
 
-    Accepts (n, d) or batched (..., n, d) inputs; all heads share the four
-    projection matrices ``{prefix}.{q,k,v,o}.{w,b}`` of shape (d, d).
+    All heads share the four projection matrices ``{prefix}.{q,k,v,o}.{w,b}``
+    of shape (d, d).
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    d = q.shape[-1]
+    x = as_tensor(x)
+    b, n, d = x.shape
     if d % heads != 0:
         raise ValueError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
-    squeeze = q.ndim == 2
-    if squeeze:
-        n = q.shape[0]
-        q, k, v = (reshape(t, (1, t.shape[0], d)) for t in (q, k, v))
 
-    def project(x, name):
-        return linear(x, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"])
+    def project(t, name):
+        return linear(t, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"])
 
-    def split_heads(x):
-        b, n, _ = x.shape
-        return transpose(reshape(x, (b, n, heads, dh)), (0, 2, 1, 3))
+    def split_heads(t):
+        return transpose(reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
 
-    qh = split_heads(project(q, "q"))
-    kh = split_heads(project(k, "k"))
-    vh = split_heads(project(v, "v"))
+    qh = split_heads(project(x, "q"))
+    kh = split_heads(project(x, "k"))
+    vh = split_heads(project(x, "v"))
     scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * (dh ** -0.5)
     weights = softmax(scores, axis=-1)
     ctx = matmul(weights, vh)  # (b, heads, n, dh)
-    b, _, n, _ = ctx.shape
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
-    out = project(merged, "o")
-    if squeeze:
-        out = reshape(out, (out.shape[1], d))
-    return out
-
-
-def attention_weights(q, k, heads: int, params: dict[str, Tensor],
-                      prefix: str = "attn") -> np.ndarray:
-    """Forward-only attention weight matrix, for inspection and tests."""
-    q, k = as_tensor(q), as_tensor(k)
-    d = q.shape[-1]
-    dh = d // heads
-    qp = linear(q, params[f"{prefix}.q.w"], params[f"{prefix}.q.b"]).data
-    kp = linear(k, params[f"{prefix}.k.w"], params[f"{prefix}.k.b"]).data
-    n = qp.shape[0]
-    qh = qp.reshape(n, heads, dh).transpose(1, 0, 2)
-    kh = kp.reshape(n, heads, dh).transpose(1, 0, 2)
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * (dh ** -0.5)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return project(merged, "o")
 
 
 def feed_forward(x, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -194,57 +168,61 @@ def feed_forward(x, params: dict[str, Tensor], prefix: str) -> Tensor:
 # -- optimizer ---------------------------------------------------------------
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments plus hyperparameters; shapes mirror the parameters."""
+    """Adam moments keyed by (group name, tensor name), plus the step count."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    v: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
 
-def init_adam(tensors: dict[str, Tensor], lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name, t in tensors.items():
-        state.m[name] = np.zeros_like(t.data)
-        state.v[name] = np.zeros_like(t.data)
+def init_adam(groups: list[ParamGroup], lr: float = 1e-3) -> AdamState:
+    state = AdamState(lr=lr)
+    for group in groups:
+        for name, t in group.tensors.items():
+            state.m[group.name, name] = np.zeros_like(t.data)
+            state.v[group.name, name] = np.zeros_like(t.data)
     return state
 
 
-def adam_step(tensors: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState) -> tuple[dict[str, Tensor], AdamState]:
-    """One bias-corrected Adam update, in place. Rejects non-finite gradients."""
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        if g.shape != tensors[name].data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape "
-                             f"{tensors[name].data.shape} for {name!r}")
+def adam_step(groups: list[ParamGroup], state: AdamState) -> AdamState:
+    """One bias-corrected Adam update of every tensor in ``groups``, in place.
+
+    A tensor no gradient reached steps with a zero gradient. Every gradient is
+    checked for finite values before any parameter changes; the gradients are
+    cleared afterwards.
+    """
+    grads = {}
+    for group in groups:
+        for name, t in group.tensors.items():
+            g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            if not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for parameter "
+                                   f"{group.name}/{name}")
+            if g.shape != t.data.shape:
+                raise ValueError(f"gradient shape {g.shape} != parameter shape "
+                                 f"{t.data.shape} for {group.name}/{name}")
+            grads[group.name, name] = (t, g)
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
-    for name, g in grads.items():
-        t = tensors[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
+    for key, (t, g) in grads.items():
+        m = state.m[key]
+        v = state.v[key]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         mhat = m / bc1
         vhat = v / bc2
-        t.data = t.data - (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(t.data.dtype)
-    return tensors, state
-
-
-def group_grads(group: ParamGroup) -> dict[str, np.ndarray]:
-    """Collect accumulated gradients, treating untouched parameters as zero."""
-    out = {}
-    for name, t in group.tensors.items():
-        out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-    return out
+        t.data = t.data - (state.lr * mhat / (np.sqrt(vhat) + EPS)).astype(t.data.dtype)
+    for group in groups:
+        group.zero_grad()
+    return state

@@ -18,7 +18,7 @@ from .autodiff import Tensor, l2_normalize, log_softmax, matmul, no_grad, transp
 from .event_encoder import N_SLOTS
 from .ingest import build_sampling_plan
 from .model import CONTEXT_GROUP, EVENT_GROUP, Model
-from .nn import NumericError, group_grads, adam_step, init_adam
+from .nn import NumericError, adam_step, init_adam
 from .context_encoder import pool_sequence
 from .segmentation import Window
 
@@ -49,44 +49,24 @@ class PretrainConfig:
             raise ValueError("epoch counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MaskedWindow:
-    """A window viewed through per-event, per-slot mask flags."""
-
-    window: Window
-    mask: np.ndarray  # (N, 7) bool
-
-    def __post_init__(self):
-        if self.mask.shape != (len(self.window), N_SLOTS):
-            raise ValueError(f"mask shape {self.mask.shape} does not match window")
-
-
-@dataclass(frozen=True)
-class AugmentedPair:
-    original: Window
-    augmented: MaskedWindow
-
-
 def augment_mask_attribute(window: Window, p_event_select: float,
-                           rng: np.random.Generator) -> AugmentedPair:
-    """Mask exactly one uniformly chosen slot of each selected event."""
+                           rng: np.random.Generator) -> np.ndarray:
+    """(N, 7) bool mask: exactly one uniformly chosen slot of each selected event."""
     n = len(window)
     mask = np.zeros((n, N_SLOTS), dtype=bool)
     selected = rng.random(n) < p_event_select
     slots = rng.integers(0, N_SLOTS, size=n)
-    for i in range(n):
-        if selected[i]:
-            mask[i, slots[i]] = True
-    return AugmentedPair(window, MaskedWindow(window, mask))
+    mask[selected, slots[selected]] = True
+    return mask
 
 
 def augment_mask_event(window: Window, p_event_mask: float,
-                       rng: np.random.Generator) -> AugmentedPair:
-    """Fully mask each selected event (all seven slots at once)."""
+                       rng: np.random.Generator) -> np.ndarray:
+    """(N, 7) bool mask: each selected event fully masked (all seven slots)."""
     n = len(window)
     mask = np.zeros((n, N_SLOTS), dtype=bool)
     mask[rng.random(n) < p_event_mask] = True
-    return AugmentedPair(window, MaskedWindow(window, mask))
+    return mask
 
 
 def infonce(anchors: Tensor, positives: Tensor, temperature: float,
@@ -177,16 +157,15 @@ def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
     # phase 1: attribute-level masking; sequence embedding = mean of raw
     # event embeddings, context encoder excluded
     event_group = model.groups[EVENT_GROUP]
-    adam1 = init_adam(event_group.tensors, lr=config.lr)
+    adam1 = init_adam([event_group], lr=config.lr)
 
     def phase1_step(windows, rng):
-        pairs = [augment_mask_attribute(w, config.p_event_select, rng) for w in windows]
-        masks = np.stack([p.augmented.mask for p in pairs])
+        masks = np.stack([augment_mask_attribute(w, config.p_event_select, rng)
+                          for w in windows])
         loss = phase1_loss(model, windows, masks, config)
         value = loss.item()
         loss.backward()
-        adam_step(event_group.tensors, group_grads(event_group), adam1)
-        event_group.zero_grad()
+        adam_step([event_group], adam1)
         return value
 
     run_phase(1, config.epochs_phase1, phase1_step)
@@ -195,23 +174,22 @@ def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
     # the context encoder
     model.set_frozen(EVENT_GROUP, True)
     context_group = model.groups[CONTEXT_GROUP]
-    adam2 = init_adam(context_group.tensors, lr=config.lr)
+    adam2 = init_adam([context_group], lr=config.lr)
 
     def phase2_step(windows, rng):
-        pairs = [augment_mask_event(w, config.p_event_mask, rng) for w in windows]
-        masked = np.stack([p.augmented.mask.all(axis=1) for p in pairs])[:, :, None]
+        masked = np.stack([augment_mask_event(w, config.p_event_mask, rng).all(axis=1)
+                           for w in windows])[:, :, None]
         with no_grad():  # the event encoder is frozen: keep it off the tape
             anchors_in = model.event_rows(windows)
         # a fully masked event encodes to one constant row: no second encoder pass
         positives_in = Tensor(np.where(masked, model.masked_event_row(windows[0]),
                                        anchors_in.data))
-        anchors = pool_sequence(model.contextualize(anchors_in, context_enabled=True))
-        positives = pool_sequence(model.contextualize(positives_in, context_enabled=True))
+        anchors = pool_sequence(model.contextualize(anchors_in))
+        positives = pool_sequence(model.contextualize(positives_in))
         loss = infonce(anchors, positives, config.temperature, config.symmetric)
         value = loss.item()
         loss.backward()
-        adam_step(context_group.tensors, group_grads(context_group), adam2)
-        context_group.zero_grad()
+        adam_step([context_group], adam2)
         return value
 
     run_phase(2, config.epochs_phase2, phase2_step)

@@ -110,13 +110,22 @@ class TestA1GradientCorrectness:
 
             group = ParamGroup("attn")
             init_attention(group, "attn", 8, rng)
-            x = parameter(rng.normal(size=(4, 8)))
-            r = Tensor(rng.normal(size=(4, 8)))
+            x = parameter(rng.normal(size=(1, 4, 8)))
+            r = Tensor(rng.normal(size=(1, 4, 8)))
 
             def f():
-                return (multi_head_attention(x, x, x, 2, group.tensors) * r).sum()
+                return (multi_head_attention(x, 2, group.tensors) * r).sum()
 
             return [x] + list(group.tensors.values()), f
+
+        def transpose_negative_axes(rng, seed):
+            a = parameter(rng.normal(size=(2, 3, 5, 4)))
+            r = Tensor(rng.normal(size=(2, 5, 3, 4)))
+
+            def f():
+                return (ad.transpose(a, (0, -2, -3, -1)) * r).sum()
+
+            return [a], f
 
         def event_encoder_full(rng, seed):
             config = toy_config()
@@ -155,7 +164,7 @@ class TestA1GradientCorrectness:
 
             return [anchors, positives], f
 
-        for build in (elementwise, linear_softmax_norm, attention,
+        for build in (elementwise, linear_softmax_norm, attention, transpose_negative_axes,
                       event_encoder_full, window_pipeline, infonce_pair):
             run(build)
 
@@ -315,11 +324,11 @@ A5_FOLDS = 3  # purged contiguous folds; chosen so the full study fits the
 
 
 def desk_lodo_config(pcts=A5_PCTS, k_values=(30,), seeds=SEEDS, run_control=True,
-                     context_enabled=None):
+                     context_enabled=True):
     from domusfm.event_encoder import ModelConfig
 
     return LodoConfig(
-        model=ModelConfig(**DESK_MODEL),
+        model=ModelConfig(**DESK_MODEL, context_enabled=context_enabled),
         protocol=EvalProtocol(held_out="home3", train_pcts=pcts, folds=A5_FOLDS,
                               k_values=k_values, seeds=seeds),
         pretrain=PretrainConfig(batch_size=64, epochs_phase1=2, epochs_phase2=2,
@@ -328,7 +337,6 @@ def desk_lodo_config(pcts=A5_PCTS, k_values=(30,), seeds=SEEDS, run_control=True
                                   batch_size=64),
         overlap=29,
         run_control=run_control,
-        context_enabled=context_enabled,
     )
 
 

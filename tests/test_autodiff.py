@@ -122,6 +122,19 @@ class TestPrimitiveGradients:
         assert _check(build, seed) < TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_transpose_negative_axes(self, seed):
+        def build(rng):
+            a = parameter(rng.normal(size=(2, 3, 5, 4)))
+
+            def f():
+                t = ad.transpose(a, (0, -2, -3, -1))  # (2, 5, 3, 4)
+                return _projected_sum(t, np.random.default_rng(seed + 100))
+
+            return [a], f
+
+        assert _check(build, seed) < TOL
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_concat_getitem_take(self, seed):
         def build(rng):
             a = parameter(rng.normal(size=(3, 4)))

@@ -88,6 +88,28 @@ class TestLoadIntoModel:
             load_into_groups(str(path), {g.name: g for g in dst})
         assert [g.state_bytes() for g in dst] == before
 
+    def test_model_tensor_missing_from_checkpoint_rejected(self, tmp_path):
+        # a deeper model would otherwise keep its extra tensors at random init
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), make_groups())
+        dst = make_groups(seed=5)
+        dst[0].add("extra", np.zeros(2, dtype=np.float32))
+        before = [g.state_bytes() for g in dst]
+        with pytest.raises(CheckpointError, match=r"encoder/\['extra'\] missing from checkpoint"):
+            load_into_groups(str(path), {g.name: g for g in dst})
+        assert [g.state_bytes() for g in dst] == before
+
+    def test_config_mismatch_rejected_before_mutation(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), make_groups(), meta={"config": {"heads": 2, "d": 3}})
+        dst = make_groups(seed=5)
+        before = [g.state_bytes() for g in dst]
+        with pytest.raises(CheckpointError, match="heads=2, config says heads=1"):
+            load_into_groups(str(path), {g.name: g for g in dst}, {"heads": 1, "d": 3})
+        assert [g.state_bytes() for g in dst] == before
+        # a key the checkpoint does not record is not compared
+        load_into_groups(str(path), {g.name: g for g in dst}, {"d": 3, "layers": 7})
+
     def test_missing_group_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), make_groups())
@@ -113,7 +135,10 @@ class TestLoadIntoModel:
         {"format": 1, "groups": [{"name": "encoder", "frozen": False,
                                   "tensors": [{"name": "w", "dtype": "f4"}]}]},
         [1, 2],
-    ], ids=["no_groups", "no_frozen", "no_shape", "not_an_object"])
+        {"format": 1, "groups": [], "meta": [1]},
+        {"format": 1, "groups": [], "meta": {"config": 5}},
+    ], ids=["no_groups", "no_frozen", "no_shape", "not_an_object", "meta_not_an_object",
+            "config_not_an_object"])
     def test_header_missing_field_rejected(self, tmp_path, header):
         raw = json.dumps(header).encode()
         path = tmp_path / "m.ckpt"

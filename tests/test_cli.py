@@ -148,6 +148,19 @@ class TestEmbedTableCheck:
         (workspace / "t.tsv").write_text("stove\t0.5\nbed\t1.0\t0.0\n")
         assert main(["embed-table-check", "t.tsv"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("content", [None, "stove\t0.5\t1.0\nbed\tnan\t0.0\n"],
+                             ids=["directory", "nan_value"])
+    def test_unreadable_or_non_finite_is_data_error(self, workspace, capsys, content):
+        path = workspace / "t.tsv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        assert main(["embed-table-check", "t.tsv"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
+        assert "t.tsv" in err if content is None else "line 2" in err
+
 
 @pytest.fixture
 def trained(workspace):
@@ -216,6 +229,21 @@ class TestEvalCommands:
         err = capsys.readouterr().err
         assert "shape mismatch" in err
 
+    @pytest.mark.parametrize("override", ["model.heads=1", "model.layers=2"])
+    def test_architecture_mismatch_names_key(self, trained, capsys, override):
+        # heads leaves every tensor shape as it was, and layers=2 would leave
+        # layer l1 at random init: both must be refused before evaluating
+        key = override.split("=")[0].split(".")[1]
+        argv = ["eval", "--config", "run.cfg",
+                "--set", "paths.datasets=home1.csv,home2.csv,home3.csv",
+                "--set", override,
+                "--checkpoint", "out/pretrained.ckpt", "--held-out", "home3"]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
+        assert f"{key}=" in err
+        assert not (trained / "out" / "eval_metrics.csv").exists()
+
     def test_context_disabled_flag_plumbs_through(self, trained):
         import time
 
@@ -263,7 +291,9 @@ class TestBadCheckpoint:
     @pytest.mark.parametrize("blob", [
         b"DOMUSFM1\x00\x00\x00\x00",
         b"DOMUSFM1" + len(b'{"format":1}').to_bytes(8, "little") + b'{"format":1}',
-    ], ids=["twelve_bytes", "header_without_groups"])
+        b"DOMUSFM1" + len(b'{"groups":[],"meta":[]}').to_bytes(8, "little")
+        + b'{"groups":[],"meta":[]}',
+    ], ids=["twelve_bytes", "header_without_groups", "meta_not_an_object"])
     def test_is_data_error(self, homes, capsys, command, blob):
         (homes / "bad.ckpt").write_bytes(blob)
         argv = [command, "--config", "run.cfg",

@@ -23,19 +23,19 @@ class TestContextualize:
     def test_single_event_is_deterministic_transform(self):
         config = toy_config()
         params = make_ctx_params(config)
-        x = Tensor(np.random.default_rng(0).normal(size=(1, config.d)))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 1, config.d)))
         a = contextualize(x, params, config)
         b = contextualize(x, params, config)
         np.testing.assert_array_equal(a.data, b.data)
-        assert a.shape == (1, config.d)
+        assert a.shape == (1, 1, config.d)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_distinct_inputs_stay_distinct(self, seed):
         config = toy_config()
         params = make_ctx_params(config, seed)
         rng = np.random.default_rng(seed + 7)
-        x = Tensor(rng.normal(size=(2, config.d)))
-        out = contextualize(x, params, config).data
+        x = Tensor(rng.normal(size=(1, 2, config.d)))
+        out = contextualize(x, params, config).data[0]
         assert not np.allclose(out[0], out[1])
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -43,14 +43,14 @@ class TestContextualize:
         config = toy_config()
         params = make_ctx_params(config, seed)
         rng = np.random.default_rng(seed + 13)
-        base = rng.normal(size=(3, config.d))
+        base = rng.normal(size=(1, 3, config.d))
         perturbed = base.copy()
         # single-coordinate change: a uniform shift would be erased by the
         # pre-attention layer norm
-        perturbed[2, 0] += 1.0
+        perturbed[0, 2, 0] += 1.0
         out_a = contextualize(Tensor(base), params, config).data
         out_b = contextualize(Tensor(perturbed), params, config).data
-        assert not np.allclose(out_a[0], out_b[0])  # row 0 saw the change
+        assert not np.allclose(out_a[0, 0], out_b[0, 0])  # row 0 saw the change
 
     def test_batched_matches_unbatched(self):
         config = toy_config()
@@ -59,8 +59,8 @@ class TestContextualize:
         x = rng.normal(size=(2, 4, config.d)).astype(np.float32)
         batched = contextualize(Tensor(x), params, config).data
         for i in range(2):
-            single = contextualize(Tensor(x[i]), params, config).data
-            np.testing.assert_allclose(batched[i], single, rtol=2e-5, atol=1e-5)
+            single = contextualize(Tensor(x[i:i + 1]), params, config).data
+            np.testing.assert_allclose(batched[i:i + 1], single, rtol=2e-5, atol=1e-5)
 
 
 class TestPooling:

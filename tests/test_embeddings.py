@@ -73,6 +73,11 @@ class TestTable:
         with pytest.raises(ValueError, match="line 2"):
             load_table_tsv(b"a\t1\t2\nb\tx\ty\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_tsv_non_finite_value_names_line(self, value):
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_table_tsv(f"a\t1\t2\nb\t1\t{value}\n".encode())
+
     def test_tsv_duplicate_token_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             load_table_tsv(b"a\t1\na\t2\n")

@@ -1,5 +1,7 @@
 """Small-scale end-to-end LODO integration (tiny model, two pretrain homes)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ class TestLodoRun:
 
     def test_ablated_variant_runs(self, corpus):
         config = tiny_lodo_config(k_values=())
-        config.context_enabled = False
+        config.model = dataclasses.replace(config.model, context_enabled=False)
         config.run_control = False
         report = lodo_run(corpus, config)
         assert any(r.metric == "weighted_f1" for r in report.rows)

@@ -134,7 +134,7 @@ class TestFullyMaskedEvents:
         model = make_model(homes, 4, seed=seed)
         windows = mixed_windows(homes, 4)
         rng = np.random.default_rng(seed)
-        masks = np.stack([augment_mask_event(w, 0.3, rng).augmented.mask for w in windows])
+        masks = np.stack([augment_mask_event(w, 0.3, rng) for w in windows])
         assert masks.any() and not masks.all()
         with no_grad():
             reference = per_window_rows(model, windows, masks.astype(np.float64))
@@ -175,18 +175,18 @@ class TestEncodeOncePerEvent:
             encoded.append(batch.shape[0] * batch.shape[1])
             return original_encode(batch, *args, **kwargs)
 
-        def recording(*args, **kwargs):
-            pairs.append(original_augment(*args, **kwargs))
-            return pairs[-1]
+        def recording(window, *args, **kwargs):
+            pairs.append((window, original_augment(window, *args, **kwargs)))
+            return pairs[-1][1]
 
         monkeypatch.setattr(model_module, "encode_batch", counting)
         monkeypatch.setattr(pretraining, "augment_mask_attribute", recording)
         config = PretrainConfig(batch_size=b, epochs_phase1=1, epochs_phase2=0,
                                 windows_per_dataset=b, p_event_select=0.5)
         assert len(pretrain({name: windows}, config, model).history) == 1
-        unmasked = {p.original.start + j for p in pairs for j in range(n)}
-        masked = {(p.original.start + j, tuple(p.augmented.mask[j]))
-                  for p in pairs for j in range(n) if p.augmented.mask[j].any()}
+        unmasked = {w.start + j for w, _ in pairs for j in range(n)}
+        masked = {(w.start + j, tuple(mask[j]))
+                  for w, mask in pairs for j in range(n) if mask[j].any()}
         assert masked and len(unmasked) < b * n
         assert encoded == [len(unmasked) + len(masked)]
 
@@ -210,8 +210,7 @@ class TestGatheredGradients:
         with precision("float64"):
             model, windows = self.setup(homes, seed)
             rng = np.random.default_rng(seed)
-            masks = np.stack([augment_mask_attribute(w, 0.5, rng).augmented.mask
-                              for w in windows])
+            masks = np.stack([augment_mask_attribute(w, 0.5, rng) for w in windows])
             config = PretrainConfig(temperature=0.5)
             err = grad_check(lambda: phase1_loss(model, windows, masks, config),
                              list(model.event_params.tensors.values()), seed=seed)

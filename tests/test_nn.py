@@ -7,11 +7,9 @@ import pytest
 
 from domusfm.autodiff import Tensor, grad_check, parameter, precision
 from domusfm.nn import (
-    AdamState,
     NumericError,
     ParamGroup,
     adam_step,
-    attention_weights,
     feed_forward,
     init_adam,
     init_attention,
@@ -92,8 +90,8 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(0)
         d = 8
         params = _attn_params(d, rng)
-        x = Tensor(rng.normal(size=(1, d)))
-        out = multi_head_attention(x, x, x, heads=2, params=params)
+        x = Tensor(rng.normal(size=(1, 1, d)))
+        out = multi_head_attention(x, heads=2, params=params)
         # with one token the attention weight is exactly 1, so the output is
         # just the o-projection of the v-projection
         v = x.data @ params["attn.v.w"].data + params["attn.v.b"].data
@@ -102,31 +100,34 @@ class TestMultiHeadAttention:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_weight_rows_sum_to_one(self, seed):
+        # with a zero v-projection every value row is the bias c, so each output
+        # row is (sum of its attention weights) * c projected: c @ o.w + o.b
         rng = np.random.default_rng(seed)
         d = 12
         params = _attn_params(d, rng)
-        x = Tensor(rng.normal(size=(5, d)))
-        w = attention_weights(x, x, heads=3, params=params)
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
-        assert (w >= 0).all()
+        params["attn.v.w"].data[:] = 0.0
+        params["attn.v.b"].data[:] = rng.normal(size=d)
+        x = Tensor(rng.normal(size=(2, 5, d)))
+        out = multi_head_attention(x, heads=3, params=params).data
+        expected = params["attn.v.b"].data @ params["attn.o.w"].data + params["attn.o.b"].data
+        np.testing.assert_allclose(out, np.broadcast_to(expected, out.shape),
+                                   rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_permutation_equivariance(self, seed):
         rng = np.random.default_rng(seed)
         d = 8
         params = _attn_params(d, rng)
-        x = rng.normal(size=(3, d))
+        x = rng.normal(size=(1, 3, d))
         perm = np.array([2, 0, 1])
-        out = multi_head_attention(Tensor(x), Tensor(x), Tensor(x), 2, params).data
-        out_p = multi_head_attention(Tensor(x[perm]), Tensor(x[perm]), Tensor(x[perm]),
-                                     2, params).data
-        np.testing.assert_allclose(out_p, out[perm], rtol=1e-4, atol=1e-5)
+        out = multi_head_attention(Tensor(x), 2, params).data
+        out_p = multi_head_attention(Tensor(x[:, perm]), 2, params).data
+        np.testing.assert_allclose(out_p, out[:, perm], rtol=1e-4, atol=1e-5)
 
     def test_rejects_indivisible_heads(self):
         params = _attn_params(8, np.random.default_rng(0))
-        x = Tensor(np.ones((2, 8)))
         with pytest.raises(ValueError, match="divisible"):
-            multi_head_attention(x, x, x, heads=3, params=params)
+            multi_head_attention(Tensor(np.ones((1, 2, 8))), heads=3, params=params)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_gradient(self, seed):
@@ -135,12 +136,12 @@ class TestMultiHeadAttention:
             d = 8
             group = ParamGroup("attn")
             init_attention(group, "attn", d, rng)
-            x = parameter(rng.normal(size=(4, d)))
-            r = Tensor(rng.normal(size=(4, d)))
+            x = parameter(rng.normal(size=(2, 4, d)))
+            r = Tensor(rng.normal(size=(2, 4, d)))
             tensors = [x] + list(group.tensors.values())
 
             def f():
-                return (multi_head_attention(x, x, x, 2, group.tensors) * r).sum()
+                return (multi_head_attention(x, 2, group.tensors) * r).sum()
 
             err = grad_check(f, tensors, seed=seed)
         assert err < 1e-4
@@ -164,13 +165,21 @@ class TestFeedForward:
         assert err < 1e-4
 
 
+def _group(name: str, **arrays) -> ParamGroup:
+    group = ParamGroup(name)
+    for key, value in arrays.items():
+        group.add(key, value)
+    return group
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        t = {"p": parameter(np.array([1.0, -2.0], dtype=np.float32))}
-        state = init_adam(t)
-        before = t["p"].data.copy()
-        adam_step(t, {"p": np.zeros(2, dtype=np.float32)}, state)
-        np.testing.assert_array_equal(t["p"].data, before)
+        # a tensor no gradient reached steps with a zero gradient
+        g = _group("g", p=np.array([1.0, -2.0], dtype=np.float32))
+        state = init_adam([g])
+        before = g["p"].data.copy()
+        adam_step([g], state)
+        np.testing.assert_array_equal(g["p"].data, before)
         assert state.step == 1
 
     def test_hand_evaluated_first_step(self):
@@ -179,36 +188,69 @@ class TestAdam:
         mhat = (1 - b1) * 1.0 / (1 - b1)
         vhat = (1 - b2) * 1.0 / (1 - b2)
         expected = -lr * mhat / (math.sqrt(vhat) + eps)
-        t = {"p": parameter(np.array([0.0]))}
-        state = init_adam(t, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        adam_step(t, {"p": np.array([1.0], dtype=t["p"].data.dtype)}, state)
-        np.testing.assert_allclose(t["p"].data, [expected], rtol=1e-6)
-        np.testing.assert_allclose(t["p"].data, [-0.1], atol=1e-6)
+        g = _group("g", p=np.array([0.0]))
+        state = init_adam([g], lr=lr)
+        g["p"].grad = np.array([1.0], dtype=g["p"].data.dtype)
+        adam_step([g], state)
+        np.testing.assert_allclose(g["p"].data, [expected], rtol=1e-6)
+        np.testing.assert_allclose(g["p"].data, [-0.1], atol=1e-6)
+        assert g["p"].grad is None  # the step clears what it applied
 
     def test_deterministic_across_runs(self):
         def run():
             rng = np.random.default_rng(7)
-            t = {"p": parameter(rng.normal(size=(4, 3)).astype(np.float32))}
-            state = init_adam(t)
+            g = _group("g", p=rng.normal(size=(4, 3)).astype(np.float32))
+            state = init_adam([g])
             for step in range(10):
-                g = np.asarray(rng.normal(size=(4, 3)), dtype=np.float32)
-                adam_step(t, {"p": g}, state)
-            return t["p"].data.tobytes()
+                g["p"].grad = np.asarray(rng.normal(size=(4, 3)), dtype=np.float32)
+                adam_step([g], state)
+            return g["p"].data.tobytes()
 
         assert run() == run()
 
     def test_rejects_non_finite_gradient(self):
-        t = {"p": parameter(np.array([0.0]))}
-        state = init_adam(t)
-        with pytest.raises(NumericError, match="'p'"):
-            adam_step(t, {"p": np.array([np.nan])}, state)
+        # the check covers every group before any parameter moves
+        first = _group("first", a=np.array([1.0]))
+        second = _group("second", p=np.array([0.0]))
+        state = init_adam([first, second])
+        first["a"].grad = np.array([1.0])
+        second["p"].grad = np.array([np.nan])
+        with pytest.raises(NumericError, match="second/p"):
+            adam_step([first, second], state)
+        assert first["a"].data[0] == 1.0 and state.step == 0
 
     def test_moment_shapes_match_parameters(self):
-        t = {"a": parameter(np.zeros((2, 5))), "b": parameter(np.zeros(3))}
-        state = init_adam(t)
-        for name in t:
-            assert state.m[name].shape == t[name].data.shape
-            assert state.v[name].shape == t[name].data.shape
+        g = _group("g", a=np.zeros((2, 5)), b=np.zeros(3))
+        state = init_adam([g])
+        for name, t in g.tensors.items():
+            assert state.m["g", name].shape == t.data.shape
+            assert state.v["g", name].shape == t.data.shape
+
+    def test_one_step_over_groups_equals_one_step_per_group(self):
+        # moments are keyed by (group, tensor): two groups may share tensor names
+        def make():
+            rng = np.random.default_rng(3)
+            return [_group(name, w=rng.normal(size=(3, 4)).astype(np.float32),
+                           b=rng.normal(size=4).astype(np.float32))
+                    for name in ("enc", "head")]
+
+        def set_grads(groups, step):
+            rng = np.random.default_rng([11, step])
+            for group in groups:
+                for t in group.tensors.values():
+                    t.grad = rng.normal(size=t.data.shape).astype(np.float32)
+
+        joint, alone = make(), make()
+        joint_state = init_adam(joint, lr=0.01)
+        alone_states = [init_adam([g], lr=0.01) for g in alone]
+        for step in range(3):
+            set_grads(joint, step)
+            set_grads(alone, step)
+            adam_step(joint, joint_state)
+            for g, state in zip(alone, alone_states):
+                adam_step([g], state)
+        assert [g.state_bytes() for g in joint] == [g.state_bytes() for g in alone]
+        assert all(t.grad is None for g in joint for t in g.tensors.values())
 
 
 class TestParamGroup:
@@ -226,8 +268,8 @@ class TestParamGroup:
         assert g["w"].data[0] == 1.0
 
     def test_frozen_group_untouched_by_apply(self):
-        # fine-tuning applies Adam group by group; a frozen backbone keeps its
-        # bytes and has stale gradients cleared, never applied
+        # fine-tuning steps only the trainable groups; a frozen backbone keeps
+        # its bytes and has stale gradients cleared, never applied
         from conftest import make_window, toy_config
         from domusfm.downstream import FinetuneSettings, FinetuneStrategy, TrainItem, finetune
         from domusfm.embeddings import fallback_table

@@ -12,7 +12,6 @@ from domusfm.event_encoder import N_SLOTS
 from domusfm.ingest import ActivityScript, SyntheticHomeSpec, SyntheticSensor, Visit, generate_synthetic_corpus
 from domusfm.model import EVENT_GROUP, Model
 from domusfm.pretraining import (
-    AugmentedPair,
     LossRecord,
     PretrainConfig,
     augment_mask_attribute,
@@ -29,34 +28,46 @@ SEEDS = (0, 1, 2)
 class TestAugmentations:
     def test_zero_probability_is_identity(self):
         w = make_window(n=8, seed=0)
-        pair = augment_mask_attribute(w, 0.0, np.random.default_rng(0))
-        assert not pair.augmented.mask.any()
-        pair = augment_mask_event(w, 0.0, np.random.default_rng(0))
-        assert not pair.augmented.mask.any()
+        assert not augment_mask_attribute(w, 0.0, np.random.default_rng(0)).any()
+        assert not augment_mask_event(w, 0.0, np.random.default_rng(0)).any()
 
     def test_probability_one_masks_exactly_one_slot_each(self):
         w = make_window(n=50, seed=1)
-        pair = augment_mask_attribute(w, 1.0, np.random.default_rng(1))
-        assert (pair.augmented.mask.sum(axis=1) == 1).all()
+        mask = augment_mask_attribute(w, 1.0, np.random.default_rng(1))
+        assert (mask.sum(axis=1) == 1).all()
 
     def test_event_mask_is_all_or_nothing(self):
         w = make_window(n=50, seed=2)
-        pair = augment_mask_event(w, 0.5, np.random.default_rng(2))
-        per_event = pair.augmented.mask.sum(axis=1)
+        per_event = augment_mask_event(w, 0.5, np.random.default_rng(2)).sum(axis=1)
         assert set(per_event.tolist()) <= {0, N_SLOTS}
         assert per_event.max() == N_SLOTS
 
     def test_seeded_reproducibility(self):
         w = make_window(n=20, seed=3)
-        a = augment_mask_attribute(w, 0.4, np.random.default_rng(9)).augmented.mask
-        b = augment_mask_attribute(w, 0.4, np.random.default_rng(9)).augmented.mask
+        a = augment_mask_attribute(w, 0.4, np.random.default_rng(9))
+        b = augment_mask_attribute(w, 0.4, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
+
+    def test_attribute_mask_matches_per_event_draws(self):
+        # one vectorized assignment stands for the per-event loop: event i gets
+        # slot slots[i] iff it was selected, from the same two draws in order
+        w = make_window(n=40, seed=8)
+        mask = augment_mask_attribute(w, 0.3, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        selected = rng.random(40) < 0.3
+        slots = rng.integers(0, N_SLOTS, size=40)
+        expected = np.zeros((40, N_SLOTS), dtype=bool)
+        for i in range(40):
+            if selected[i]:
+                expected[i, slots[i]] = True
+        np.testing.assert_array_equal(mask, expected)
 
     def test_augmentation_never_touches_events(self):
         w = make_window(n=10, seed=4)
-        pair = augment_mask_event(w, 0.7, np.random.default_rng(5))
-        assert pair.original is w
-        assert pair.augmented.window is w  # only mask flags differ
+        events = tuple(w.events)
+        augment_mask_event(w, 0.7, np.random.default_rng(5))
+        augment_mask_attribute(w, 0.7, np.random.default_rng(5))
+        assert tuple(w.events) == events  # a view differs only by its mask flags
 
     def test_masked_fraction_matches_probability(self):
         # binomial bound: |observed - p| < 3 * sqrt(p (1-p) / n)
@@ -65,15 +76,16 @@ class TestAugmentations:
         rng = np.random.default_rng(7)
         masked = 0
         for _ in range(n // 100):
-            masked += augment_mask_event(w, p, rng).augmented.mask[:, 0].sum()
+            masked += augment_mask_event(w, p, rng)[:, 0].sum()
         observed = masked / n
         assert abs(observed - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_mask_shape_validated(self):
-        from domusfm.pretraining import MaskedWindow
-
-        with pytest.raises(ValueError, match="mask shape"):
-            MaskedWindow(make_window(n=3), np.zeros((2, N_SLOTS), dtype=bool))
+        for n in (1, 3, 30):
+            w = make_window(n=n, seed=n)
+            for augment in (augment_mask_attribute, augment_mask_event):
+                mask = augment(w, 0.5, np.random.default_rng(n))
+                assert mask.shape == (n, N_SLOTS) and mask.dtype == bool
 
 
 class TestInfoNCE:

@@ -40,7 +40,7 @@ def around(name: str, neighbor: Sensor) -> Window:
               event,
               Event(event.timestamp + 90, neighbor, "OFF"))
     model.add_stream_features(name, events)
-    return Window(events, (None,) * 3, dataset=name)
+    return Window(name, 0, 3)
 
 
 kitchen, bedroom = around("kitchen", fridge), around("bedroom", bed)

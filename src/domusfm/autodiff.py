@@ -17,11 +17,6 @@ _ACTIVE_DTYPE = np.float32
 _GRAD_ENABLED = True
 
 
-def active_dtype():
-    """Dtype new tensors are created with."""
-    return _ACTIVE_DTYPE
-
-
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily switch the working float dtype, e.g. ``precision("float64")``."""
@@ -32,11 +27,6 @@ def precision(dtype):
         yield
     finally:
         _ACTIVE_DTYPE = prev
-
-
-def grad_enabled() -> bool:
-    """Whether operations are being recorded on the tape."""
-    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
@@ -77,12 +67,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -430,12 +414,6 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
             _accumulate(t, g[tuple(idx)])
 
     return _make(data, tensors, backward)
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    expanded = [reshape(as_tensor(t), t.data.shape[:axis] + (1,) + t.data.shape[axis:])
-                for t in tensors]
-    return concat(expanded, axis=axis)
 
 
 def getitem(a, idx) -> Tensor:

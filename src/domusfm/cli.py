@@ -39,7 +39,7 @@ from .ingest import (
 from .model import Model
 from .nn import NumericError
 from .pretraining import PretrainConfig, loss_history_csv, pretrain
-from .segmentation import segment_events
+from .segmentation import check_overlap, segment_events
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,6 +86,14 @@ DEFAULTS: dict[str, object] = {
 }
 
 
+def _number(key: str, raw: str, kind: type):
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"{key}: expected {noun}, got {raw!r}") from None
+
+
 def _coerce(key: str, raw: str):
     default = DEFAULTS[key]
     raw = raw.strip()
@@ -95,24 +103,14 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise UsageError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"{key}: expected an integer, got {raw!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise UsageError(f"{key}: expected a number, got {raw!r}") from exc
+    if isinstance(default, (int, float)):
+        return _number(key, raw, type(default))
     if isinstance(default, list):
         if not raw:
             return []
         items = [part.strip() for part in raw.split(",")]
-        if default and isinstance(default[0], float):
-            return [float(p) for p in items]
-        if default and isinstance(default[0], int):
-            return [int(p) for p in items]
+        if default and isinstance(default[0], (int, float)):
+            return [_number(key, p, type(default[0])) for p in items]
         return items
     return raw
 
@@ -154,29 +152,46 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 # -- config -> objects ---------------------------------------------------------
 
 
-def model_config(config: dict) -> ModelConfig:
-    return ModelConfig(
-        d=config["model.d"], heads=config["model.heads"], layers=config["model.layers"],
-        harmonics=config["model.harmonics"],
-        seconds_buckets=config["model.seconds_buckets"],
-        n_window=config["segmentation.n"],
-        context_enabled=config["model.context_enabled"],
-    )
+def command_config(config: dict, held_out: str = "") -> LodoConfig:
+    """Every config object a command uses, built before any file is read.
 
-
-def pretrain_config(config: dict) -> PretrainConfig:
-    return PretrainConfig(
-        p_event_select=config["pretrain.p_event_select"],
-        p_event_mask=config["pretrain.p_event_mask"],
-        temperature=config["pretrain.temperature"],
-        batch_size=config["pretrain.batch_size"],
-        epochs_phase1=config["pretrain.epochs_phase1"],
-        epochs_phase2=config["pretrain.epochs_phase2"],
-        lr=config["pretrain.lr"],
-        windows_per_dataset=config["pretrain.windows_per_dataset"] or None,
-        symmetric=config["pretrain.symmetric"],
-        seed=config["seed"],
-    )
+    A value that the config dataclasses or the segmenter reject is a usage
+    error, like a value of the wrong type.
+    """
+    try:
+        check_overlap(config["segmentation.n"], config["segmentation.overlap"])
+        return LodoConfig(
+            model=ModelConfig(
+                d=config["model.d"], heads=config["model.heads"],
+                layers=config["model.layers"], harmonics=config["model.harmonics"],
+                seconds_buckets=config["model.seconds_buckets"],
+                n_window=config["segmentation.n"],
+                context_enabled=config["model.context_enabled"],
+            ),
+            protocol=EvalProtocol(
+                held_out=held_out,
+                train_pcts=tuple(config["protocol.pcts"]),
+                folds=config["protocol.folds"],
+                k_values=tuple(config["protocol.k"]),
+                seeds=tuple(config["protocol.seeds"]),
+            ),
+            pretrain=PretrainConfig(
+                p_event_select=config["pretrain.p_event_select"],
+                p_event_mask=config["pretrain.p_event_mask"],
+                temperature=config["pretrain.temperature"],
+                batch_size=config["pretrain.batch_size"],
+                epochs_phase1=config["pretrain.epochs_phase1"],
+                epochs_phase2=config["pretrain.epochs_phase2"],
+                lr=config["pretrain.lr"],
+                windows_per_dataset=config["pretrain.windows_per_dataset"] or None,
+                symmetric=config["pretrain.symmetric"],
+                seed=config["seed"],
+            ),
+            finetune=finetune_settings(config),
+            overlap=config["segmentation.overlap"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def finetune_settings(config: dict) -> FinetuneSettings:
@@ -184,7 +199,7 @@ def finetune_settings(config: dict) -> FinetuneSettings:
         strategy = FinetuneStrategy(config["finetune.strategy"])
     except ValueError:
         choices = ", ".join(s.value for s in FinetuneStrategy)
-        raise UsageError(f"finetune.strategy: expected one of {choices}, "
+        raise ValueError(f"finetune.strategy: expected one of {choices}, "
                          f"got {config['finetune.strategy']!r}") from None
     return FinetuneSettings(
         strategy=strategy,
@@ -222,11 +237,6 @@ def read_table(path: str):
             return load_table_tsv(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read embedding table {path!r}: {exc}") from exc
-
-
-def build_model(config: dict, seed: int | None = None) -> Model:
-    return Model.init(model_config(config), load_table(config),
-                      seed=config["seed"] if seed is None else seed)
 
 
 # -- home spec JSON --------------------------------------------------------------
@@ -268,15 +278,16 @@ def home_spec_from_json(blob: bytes) -> SyntheticHomeSpec:
 
 
 def cmd_synth(args) -> int:
+    env_seed = os.environ.get("DOMUS_SEED")
+    env_seed = None if env_seed is None else _coerce("seed", env_seed)
+    seed = args.seed if args.seed is not None else env_seed
     try:
         with open(args.spec, "rb") as fh:
             spec = home_spec_from_json(fh.read())
     except OSError as exc:
         print(f"error: cannot read spec {args.spec!r}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    env_seed = os.environ.get("DOMUS_SEED")
-    if args.seed is not None or env_seed is not None:
-        seed = args.seed if args.seed is not None else int(env_seed)
+    if seed is not None:
         spec = SyntheticHomeSpec(**{**spec.__dict__, "seed": seed})
     dataset = generate_synthetic_corpus(spec)
     atomic_write(args.out, [write_event_csv(dataset)])
@@ -291,22 +302,19 @@ def cmd_embed_table_check(args) -> int:
     return EXIT_OK
 
 
-def _segment_all(datasets, config):
-    n, overlap = config["segmentation.n"], config["segmentation.overlap"]
-    return {ds.name: segment_events(ds.stream, n, overlap, dataset=ds.name)
-            for ds in datasets}
-
-
 def cmd_pretrain(args, config: dict) -> int:
+    lodo = command_config(config)
     datasets = load_datasets(config)
-    model = build_model(config)
+    model = Model.init(lodo.model, load_table(config), seed=config["seed"])
     for ds in datasets:
         model.add_stream_features(ds.name, ds.stream.events)
-    windows = _segment_all(datasets, config)
+    windows = {ds.name: segment_events(ds.stream, lodo.model.n_window, lodo.overlap,
+                                       dataset=ds.name)
+               for ds in datasets}
     empty = [name for name, ws in windows.items() if not ws]
     if empty:
         raise ParseError(f"datasets too short to segment: {empty}")
-    result = pretrain(windows, pretrain_config(config), model)
+    result = pretrain(windows, lodo.pretrain, model)
     out_dir = config["paths.out_dir"]
     ckpt = os.path.join(out_dir, "pretrained.ckpt")
     model.save(ckpt)
@@ -318,35 +326,18 @@ def cmd_pretrain(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _lodo_config(config: dict, held_out: str) -> LodoConfig:
-    protocol = EvalProtocol(
-        held_out=held_out,
-        train_pcts=tuple(config["protocol.pcts"]),
-        folds=config["protocol.folds"],
-        k_values=tuple(config["protocol.k"]),
-        seeds=tuple(config["protocol.seeds"]),
-    )
-    return LodoConfig(
-        model=model_config(config),
-        protocol=protocol,
-        pretrain=pretrain_config(config),
-        finetune=finetune_settings(config),
-        overlap=config["segmentation.overlap"],
-    )
-
-
 def _checkpoint_grid(args, config: dict, with_control: bool) -> int:
     held_out = args.held_out or config["protocol.held_out"]
     if not held_out:
         raise UsageError("--held-out (or protocol.held_out) is required")
+    lodo = command_config(config, held_out)
     datasets = load_datasets(config)
     names = [ds.name for ds in datasets]
     if held_out not in names:
         raise ParseError(f"held-out dataset {held_out!r} not among {names}")
-    lodo = _lodo_config(config, held_out)
     held = next(ds for ds in datasets if ds.name == held_out)
 
-    model = build_model(config)
+    model = Model.init(lodo.model, load_table(config), seed=config["seed"])
     model.load(args.checkpoint)  # validates architecture and shapes before any mutation
     for ds in datasets:
         model.add_stream_features(ds.name, ds.stream.events)

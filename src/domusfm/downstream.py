@@ -185,6 +185,11 @@ class FinetuneSettings:
     count_loss_weight: float = 1.0  # lambda on the count MSE term
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError(f"need epochs >= 0 and batch_size >= 1, got "
+                             f"epochs={self.epochs}, batch_size={self.batch_size}")
+
 
 @dataclass
 class TrainItem:

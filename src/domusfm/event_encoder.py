@@ -197,30 +197,27 @@ def gather_batch(blocks: Sequence[tuple[StreamFeatures, object]], shape: tuple[i
     return batch
 
 
-def build_batch(windows: Sequence[Window],
-                features: dict[str, StreamFeatures],
-                masks: Optional[np.ndarray] = None,
-                table: Optional[AttributeEmbeddingTable] = None,
-                config: Optional[ModelConfig] = None) -> EventBatch:
-    """Gather per-window feature slices into batch arrays.
+def stream_features(features: dict[str, StreamFeatures], dataset: str) -> StreamFeatures:
+    """The features registered for ``dataset``; every window reads its events here."""
+    feats = features.get(dataset)
+    if feats is None:
+        raise ValueError(f"no stream features for dataset {dataset!r}; register the "
+                         f"stream with Model.add_stream_features first")
+    return feats
 
-    ``features`` maps dataset name to its precomputed stream features; windows
-    whose dataset is missing are featurized on the fly (requires table+config).
+
+def build_batch(windows: Sequence[Window], features: dict[str, StreamFeatures],
+                masks: Optional[np.ndarray] = None) -> EventBatch:
+    """Gather each window's slice of its stream's features into batch arrays.
+
+    ``features`` maps dataset name to its precomputed stream features.
     ``masks`` is (B, N, 7) float/bool; slot 6 masks the status.
     """
     n = len(windows[0])
     if any(len(w) != n for w in windows):
         raise ValueError("all windows in a batch must have the same length")
-    blocks = []
-    for w in windows:
-        feats = features.get(w.dataset)
-        if feats is None:
-            if table is None or config is None:
-                raise ValueError(f"no features for dataset {w.dataset!r} and no "
-                                 f"table/config to featurize ad hoc")
-            blocks.append((featurize_events(w.events, table, config), slice(0, n)))
-        else:
-            blocks.append((feats, slice(w.start, w.start + n)))
+    blocks = [(stream_features(features, w.dataset), slice(w.start, w.start + n))
+              for w in windows]
     return gather_batch(blocks, (len(windows), n), masks)
 
 

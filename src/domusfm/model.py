@@ -20,6 +20,7 @@ from .event_encoder import (
     featurize_events,
     gather_batch,
     init_event_encoder,
+    stream_features,
 )
 from .nn import ParamGroup
 from .segmentation import Window
@@ -85,8 +86,7 @@ class Model:
 
     def batch(self, windows: Sequence[Window],
               masks: Optional[np.ndarray] = None) -> EventBatch:
-        return build_batch(windows, self.features, masks,
-                           table=self.table, config=self.config)
+        return build_batch(windows, self.features, masks)
 
     def encode_events(self, batch: EventBatch) -> Tensor:
         """h_e for a batch: (B, N, d)."""
@@ -98,10 +98,9 @@ class Model:
 
         This is the one path to event embeddings, with or without a tape. The
         event encoder is context-free, so a row depends only on the event and
-        its mask flags, not on the window holding it: windows of a featurized
-        stream share one row per (stream index, mask bits). Windows of any
-        other dataset carry their own events and get one row per event, as
-        ``build_batch`` gives them. The distinct rows are encoded in one batch
+        its mask flags, not on the window holding it: windows of one stream
+        share one row per (stream index, mask bits). Streams come in the order
+        the batch first names them. The distinct rows are encoded in one batch
         and gathered back with ``take_rows``, whose backward sums the gradient
         of a shared row over every place it is used. ``masks`` is (B, N, 7)
         0/1 flags; slot 6 masks the status.
@@ -119,19 +118,12 @@ class Model:
         blocks, row_bits, total = [], [], 0
         by_stream: dict[str, list[int]] = {}
         for i, w in enumerate(windows):
-            if w.dataset in self.features:
-                by_stream.setdefault(w.dataset, []).append(i)
-            else:
-                blocks.append((featurize_events(w.events, self.table, self.config),
-                               slice(0, n)))
-                row_bits.append(bits[i])
-                index[i] = total + np.arange(n)
-                total += n
+            by_stream.setdefault(w.dataset, []).append(i)
         for name, members in by_stream.items():
             spans = np.array([windows[i].start for i in members])[:, None] + np.arange(n)
             keys, inverse = np.unique((spans << N_SLOTS) | bits[members],
                                       return_inverse=True)
-            blocks.append((self.features[name], keys >> N_SLOTS))
+            blocks.append((stream_features(self.features, name), keys >> N_SLOTS))
             row_bits.append(keys & ((1 << N_SLOTS) - 1))
             index[members] = total + inverse.reshape(spans.shape)
             total += len(keys)

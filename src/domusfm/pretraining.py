@@ -47,6 +47,8 @@ class PretrainConfig:
             raise ValueError("contrastive batches need at least 2 windows")
         if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
             raise ValueError("epoch counts must be nonnegative")
+        if self.windows_per_dataset is not None and self.windows_per_dataset < 1:
+            raise ValueError("windows_per_dataset must be positive")
 
 
 def augment_mask_attribute(window: Window, p_event_select: float,

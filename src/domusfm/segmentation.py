@@ -7,61 +7,58 @@ ends). A window's activity label is the label of its last event.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .events import Event, EventStream
+from .events import EventStream
 
 
 @dataclass(frozen=True)
 class Window:
-    """N consecutive events; ``label`` is the activity of the final event."""
+    """A view of ``n`` consecutive events of stream ``dataset`` from ``start``.
 
-    events: tuple[Event, ...]
-    labels: tuple[Optional[str], ...]
-    dataset: str = ""
-    start: int = 0  # index of events[0] in the source stream
+    ``label`` is the activity of the final event. The events themselves stay
+    with the stream; a model reads them through the stream features that
+    ``Model.add_stream_features`` registered under ``dataset``.
+    """
+
+    dataset: str
+    start: int
+    n: int
+    label: Optional[str] = None
 
     def __post_init__(self):
-        if not self.events:
+        if self.n < 1:
             raise ValueError("window must contain at least one event")
-        if len(self.labels) != len(self.events):
-            raise ValueError("labels must match events one-to-one")
 
     def __len__(self):
-        return len(self.events)
-
-    @property
-    def label(self) -> Optional[str]:
-        return self.labels[-1]
+        return self.n
 
     @property
     def end(self) -> int:
         """Index of the last event in the source stream."""
-        return self.start + len(self.events) - 1
+        return self.start + self.n - 1
+
+
+def check_overlap(n: int, overlap: int):
+    """Reject an overlap outside [0, N), so the stride N - overlap lies in [1, N]."""
+    if not 0 <= overlap < n:
+        raise ValueError(f"need 0 <= overlap < N, got overlap={overlap}, N={n}")
 
 
 def segment_events(stream: EventStream, n: int, overlap: int,
                    dataset: str = "") -> list[Window]:
     """Fixed-size sliding windows with stride ``n - overlap``."""
-    if not 0 <= overlap < n:
-        raise ValueError(f"need 0 <= overlap < N, got overlap={overlap}, N={n}")
+    check_overlap(n, overlap)
     total = len(stream)
     if total < n:
         warnings.warn(f"stream of {total} events is shorter than window size {n}; "
                       f"no windows produced", stacklevel=2)
         return []
-    stride = n - overlap
-    windows = []
-    for start in range(0, total - n + 1, stride):
-        windows.append(Window(
-            events=stream.events[start:start + n],
-            labels=stream.labels[start:start + n],
-            dataset=dataset,
-            start=start,
-        ))
-    return windows
+    return [Window(dataset, start, n, stream.labels[start + n - 1])
+            for start in range(0, total - n + 1, n - overlap)]
 
 
 def segment_time(stream: EventStream, delta_t: int, overlap_fraction: float = 0.0,
@@ -74,8 +71,6 @@ def segment_time(stream: EventStream, delta_t: int, overlap_fraction: float = 0.
         raise ValueError("overlap_fraction must be in [0, 1)")
     if len(stream) == 0:
         return []
-    import bisect
-
     stride = delta_t * (1.0 - overlap_fraction)
     times = [e.timestamp for e in stream.events]
     t_first, t_last = times[0], times[-1]
@@ -88,11 +83,6 @@ def segment_time(stream: EventStream, delta_t: int, overlap_fraction: float = 0.
         lo = bisect.bisect_left(times, t_start)
         hi = bisect.bisect_right(times, t_start + delta_t)
         if hi > lo:
-            windows.append(Window(
-                events=stream.events[lo:hi],
-                labels=stream.labels[lo:hi],
-                dataset=dataset,
-                start=lo,
-            ))
+            windows.append(Window(dataset, lo, hi - lo, stream.labels[hi - 1]))
         j += 1
     return windows

@@ -13,7 +13,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from domusfm.embeddings import fallback_table
-from domusfm.event_encoder import ModelConfig
+from domusfm.event_encoder import ModelConfig, featurize_events
 from domusfm.events import OFF, ON, Event, Sensor
 from domusfm.segmentation import Window
 
@@ -31,7 +31,8 @@ BED = Sensor("b_bed", "pressure", "bed", "bedroom")
 WEARABLE = Sensor("w1", "wearable")  # NULL room and item
 
 
-def make_window(n: int = 3, seed: int = 0, dataset: str = "") -> Window:
+def toy_events(n: int = 3, seed: int = 0) -> tuple[Event, ...]:
+    """``n`` seeded events from four sensors, alternating ON/OFF per sensor."""
     rng = np.random.default_rng(seed)
     sensors = [KITCHEN_MOTION, STOVE, BED, WEARABLE]
     events, t = [], 1_700_000_000
@@ -42,7 +43,25 @@ def make_window(n: int = 3, seed: int = 0, dataset: str = "") -> Window:
         status = ON if last.get(s.id) != ON else OFF
         last[s.id] = status
         events.append(Event(t, s, status))
-    return Window(tuple(events), ("cook",) * n, dataset=dataset)
+    return tuple(events)
+
+
+def toy_window(target, n: int = 3, seed: int = 0, events=None, name=None) -> Window:
+    """A ``Window`` view over a whole toy stream registered on ``target``.
+
+    ``target`` is a ``Model`` (the stream goes through ``add_stream_features``)
+    or a ``(features, table, config)`` triple whose dict receives the
+    featurized stream. The stream holds ``events``, or ``toy_events(n, seed)``,
+    under ``name`` (by default one per seed and length).
+    """
+    events = toy_events(n, seed) if events is None else tuple(events)
+    name = name or f"toy{seed}x{len(events)}"
+    if isinstance(target, tuple):
+        features, table, config = target
+        features[name] = featurize_events(events, table, config)
+    else:
+        target.add_stream_features(name, events)
+    return Window(name, 0, len(events), "cook")
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_window, toy_config
+from conftest import toy_config, toy_window
 from domusfm import autodiff as ad
 from domusfm.autodiff import Tensor, grad_check, parameter, precision
 from domusfm.benchmark import three_home_corpus
@@ -130,8 +130,9 @@ class TestA1GradientCorrectness:
         def event_encoder_full(rng, seed):
             config = toy_config()
             params = init_event_encoder(config, rng)
-            window = make_window(n=2, seed=seed)
-            batch = build_batch([window], {}, table=table, config=config)
+            features = {}
+            window = toy_window((features, table, config), n=2, seed=seed)
+            batch = build_batch([window], features)
             r = Tensor(rng.normal(size=(1, 2, config.d)))
 
             def f():
@@ -143,8 +144,9 @@ class TestA1GradientCorrectness:
             config = toy_config()
             event_params = init_event_encoder(config, rng)
             ctx_params = init_context_encoder(config, rng)
-            window = make_window(n=3, seed=seed)
-            batch = build_batch([window], {}, table=table, config=config)
+            features = {}
+            window = toy_window((features, table, config), n=3, seed=seed)
+            batch = build_batch([window], features)
             r = Tensor(rng.normal(size=(config.d,)))
 
             def f():

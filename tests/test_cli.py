@@ -108,6 +108,42 @@ class TestConfig:
         assert config["model.context_enabled"] is False
 
 
+class TestBadConfigValues:
+    """A value the config rejects is a usage error, found before any file is read."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "eval"])
+    @pytest.mark.parametrize("override, needle", [
+        ("protocol.pcts=abc", "protocol.pcts"),
+        ("protocol.k=x", "protocol.k"),
+        ("protocol.seeds=a", "protocol.seeds"),
+        ("model.heads=3", "heads=3"),
+        ("pretrain.temperature=0", "temperature"),
+        ("pretrain.batch_size=1", "at least 2"),
+        ("segmentation.overlap=30", "overlap=30"),
+        ("pretrain.windows_per_dataset=-1", "windows_per_dataset"),
+        ("finetune.batch_size=0", "batch_size=0"),
+    ])
+    def test_is_usage_error(self, workspace, capsys, command, override, needle):
+        # the dataset and checkpoint do not exist: reading them would exit 2
+        argv = [command, "--config", "run.cfg", "--set", "paths.datasets=ghost.csv",
+                "--set", override]
+        if command == "eval":
+            argv += ["--checkpoint", "ghost.ckpt", "--held-out", "ghost"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
+        assert needle in err
+        assert not (workspace / "out").exists()
+
+    def test_bad_env_seed_is_usage_error(self, workspace, capsys, monkeypatch):
+        monkeypatch.setenv("DOMUS_SEED", "abc")
+        assert main(["synth", "--spec", "home.json", "--out", "x.csv"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
+        assert "seed" in err and "'abc'" in err
+        assert not (workspace / "x.csv").exists()
+
+
 class TestSynth:
     def test_writes_reparseable_file(self, workspace):
         from domusfm.ingest import parse_event_csv

@@ -6,7 +6,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from conftest import make_window, toy_config
+from conftest import toy_config, toy_events, toy_window
 from domusfm.autodiff import Tensor, grad_check, no_grad, precision
 from domusfm.context_encoder import contextualize, init_context_encoder, pool_sequence
 from domusfm.embeddings import fallback_table
@@ -86,7 +86,7 @@ class TestWindowTensors:
     def test_ablation_returns_event_embeddings_bitwise(self, table):
         config = toy_config(context_enabled=False)
         model = Model.init(config, table, seed=0)
-        window = make_window(n=4, seed=5)
+        window = toy_window(model, n=4, seed=5)
         raw = model.encode_events(model.batch([window])).data
         for mode in (no_grad, nullcontext):  # forward-only and taped passes
             with mode():
@@ -97,7 +97,7 @@ class TestWindowTensors:
     def test_deterministic(self, table):
         config = toy_config()
         model = Model.init(config, table, seed=1)
-        window = make_window(n=3, seed=2)
+        window = toy_window(model, n=3, seed=2)
         with no_grad():
             a = model.window_tensors([window])
             b = model.window_tensors([window])
@@ -107,12 +107,11 @@ class TestWindowTensors:
     def test_context_enabled_mixes_rows(self, table):
         config = toy_config()
         model = Model.init(config, table, seed=3)
-        w1 = make_window(n=3, seed=10)
-        events_changed = list(w1.events)
+        events = list(toy_events(n=3, seed=10))
+        w1 = toy_window(model, events=events, name="original")
         # shift event 0 by two hours so its temporal features genuinely change
-        events_changed[0] = dataclasses.replace(events_changed[0],
-                                                timestamp=events_changed[0].timestamp - 7200)
-        w2 = w1.__class__(tuple(events_changed), w1.labels)
+        events[0] = dataclasses.replace(events[0], timestamp=events[0].timestamp - 7200)
+        w2 = toy_window(model, events=events, name="shifted")
         with no_grad():
             ctx1, _ = model.window_tensors([w1])
             ctx2, _ = model.window_tensors([w2])
@@ -123,7 +122,7 @@ class TestWindowTensors:
         config = toy_config()
         with precision("float64"):
             model = Model.init(config, fallback_table(config.text_dim()), seed=seed)
-            window = make_window(n=3, seed=seed)
+            window = toy_window(model, n=3, seed=seed)
             rng = np.random.default_rng(seed + 77)
             r = Tensor(rng.normal(size=(config.d,)))
 

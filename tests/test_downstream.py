@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_window, toy_config
+from conftest import toy_config, toy_window
 from domusfm.downstream import (
     EventMultiset,
     FinetuneSettings,
@@ -20,6 +20,7 @@ from domusfm.downstream import (
 from domusfm.embeddings import fallback_table
 from domusfm.events import OFF, ON, Event, EventStream, Sensor
 from domusfm.model import CONTEXT_GROUP, EVENT_GROUP, Model
+from domusfm.segmentation import Window
 
 SEEDS = (0, 1, 2)
 A = Sensor("A", "motion")
@@ -159,7 +160,10 @@ class TestNextKTarget:
 
 
 def build_separable_items(model, n_per_class=12, n_events=4):
-    """Two activities at very different hours: linearly separable from h_e."""
+    """Two activities at very different hours: linearly separable from h_e.
+
+    Each window is a whole four-event stream registered on ``model``.
+    """
     kitchen = Sensor("mk", "motion", None, "kitchen")
     bedroom = Sensor("mb", "pressure", "bed", "bedroom")
     items = []
@@ -170,9 +174,8 @@ def build_separable_items(model, n_per_class=12, n_events=4):
             t0 = day + hour * 3600
             events = tuple(Event(t0 + j * 60, sensor, ON if j % 2 == 0 else OFF)
                            for j in range(n_events))
-            from domusfm.segmentation import Window
-
-            items.append(TrainItem(Window(events, (label,) * n_events), label=label))
+            model.add_stream_features(f"{label}{i}", events)
+            items.append(TrainItem(Window(f"{label}{i}", 0, n_events, label), label=label))
     return items
 
 
@@ -244,7 +247,7 @@ class TestFinetune:
     def test_unknown_task_rejected(self):
         model = Model.init(toy_config(), None, seed=0)
         with pytest.raises(ValueError, match="unknown task"):
-            finetune(model, [TrainItem(make_window(3))], "dishes", FinetuneSettings())
+            finetune(model, [TrainItem(toy_window(model, 3))], "dishes", FinetuneSettings())
 
     def test_nextk_finetune_runs_and_predicts_exact_total(self):
         config = toy_config(d=16)
@@ -252,7 +255,7 @@ class TestFinetune:
         vocab = (("mk", ON), ("mk", OFF), ("mb", ON), ("mb", OFF))
         items = []
         for item in build_separable_items(model)[:8]:
-            sensor_id = item.window.events[0].sensor.id
+            sensor_id = {"cook": "mk", "sleep": "mb"}[item.label]
             items.append(TrainItem(item.window,
                                    target=EventMultiset.from_dict({(sensor_id, ON): 2,
                                                                    (sensor_id, OFF): 1})))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BED, STOVE, WEARABLE, make_window, toy_config
+from conftest import BED, STOVE, WEARABLE, toy_config, toy_events
 from domusfm.autodiff import Tensor, grad_check, precision
 from domusfm.embeddings import fallback_embedding
 from domusfm.event_encoder import (
@@ -33,11 +33,11 @@ def make_params(config, seed=0):
 
 
 def batch_of(events, table, config, masks=None):
-    """(1, N) batch of ``events`` as one ad-hoc window."""
-    window = Window(tuple(events), (None,) * len(events))
+    """(1, N) batch of ``events`` as one window over a stream of just them."""
+    feats = featurize_events(events, table, config)
     if masks is not None:
         masks = np.asarray(masks, dtype=np.float64).reshape(1, len(events), N_SLOTS)
-    return build_batch([window], {}, masks, table=table, config=config)
+    return build_batch([Window("events", 0, len(events))], {"events": feats}, masks)
 
 
 def encode(events, table, params, config, masks=None):
@@ -258,8 +258,7 @@ class TestEncodeEvent:
         config = toy_config()
         with precision("float64"):
             params = init_event_encoder(config, np.random.default_rng(seed))
-            window = make_window(n=2, seed=seed)
-            batch = build_batch([window], {}, table=table, config=config)
+            batch = batch_of(toy_events(n=2, seed=seed), table, config)
             rng = np.random.default_rng(seed + 50)
             r = Tensor(rng.normal(size=(1, 2, config.d)))
 
@@ -276,21 +275,8 @@ class TestBatchedEncoding:
         # the event is encoded alone
         config = toy_config()
         params = make_params(config)
-        window = make_window(n=3, seed=1)
-        out = encode(window.events, table, params, config)
-        for i, event in enumerate(window.events):
+        events = toy_events(n=3, seed=1)
+        out = encode(events, table, params, config)
+        for i, event in enumerate(events):
             single = encode([event], table, params, config)
             np.testing.assert_allclose(out[i], single[0], rtol=1e-5, atol=1e-6)
-
-    def test_stream_features_slicing_matches_ad_hoc(self, table):
-        config = toy_config()
-        params = make_params(config)
-        window = make_window(n=4, seed=2, dataset="home")
-        feats = featurize_events(window.events, table, config)
-        via_cache = build_batch([window.__class__(window.events, window.labels,
-                                                  dataset="home", start=0)],
-                                {"home": feats}, table=table, config=config)
-        ad_hoc = build_batch([window], {}, table=table, config=config)
-        np.testing.assert_array_equal(
-            encode_batch(via_cache, params, config).data,
-            encode_batch(ad_hoc, params, config).data)

@@ -5,7 +5,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from conftest import make_window, toy_config
+from conftest import toy_config, toy_window
 from domusfm import evaluation, model as model_module, pretraining
 from domusfm.autodiff import grad_check, no_grad, precision
 from domusfm.benchmark import three_home_corpus
@@ -21,7 +21,7 @@ from domusfm.pretraining import (
     phase1_loss,
     pretrain,
 )
-from domusfm.segmentation import segment_events
+from domusfm.segmentation import Window, segment_events
 
 
 @pytest.fixture(scope="module")
@@ -44,15 +44,14 @@ def stride_one(homes, n):
 
 
 def mixed_windows(homes, n):
-    """Stride-1 windows of two streams interleaved with ad-hoc windows.
+    """Overlapping stride-1 windows of two streams, shuffled.
 
-    The ad-hoc windows all have ``dataset=""`` and ``start=0`` but different
-    events, so any grouping by (dataset, start) would hand them the same rows.
+    Both streams have windows at the same starts, so any grouping by start
+    alone would hand windows of one stream the other's rows.
     """
     windows = stride_one(homes, n)
     first, second = (windows[ds.name] for ds in homes)
-    ad_hoc = [make_window(n=n, seed=seed) for seed in range(5)]
-    batch = first[3:13] + ad_hoc[:3] + second[40:47] + first[10:14] + ad_hoc[3:]
+    batch = first[3:13] + second[5:12] + second[40:47] + first[10:14]
     order = np.random.default_rng(n).permutation(len(batch))
     return [batch[i] for i in order]
 
@@ -91,23 +90,24 @@ class TestEventRows:
             rows = model.event_rows(windows, masks).data
         np.testing.assert_array_equal(rows, reference)
 
-    def test_ad_hoc_windows_with_equal_starts_keep_their_own_events(self, homes):
-        model = make_model(homes, 4)
-        windows = [make_window(n=4, seed=seed) for seed in range(3)]
-        with no_grad():
-            rows = model.event_rows(windows).data
-        assert not np.array_equal(rows[0], rows[1])
-        assert not np.array_equal(rows[1], rows[2])
-
     def test_unequal_lengths_rejected(self, homes):
         model = make_model(homes, 4)
+        windows = [stride_one(homes, n)[homes[0].name][0] for n in (4, 3)]
         with pytest.raises(ValueError, match="same length"):
-            model.event_rows([make_window(n=4), make_window(n=3)])
+            model.event_rows(windows)
 
     def test_mask_shape_rejected(self, homes):
         model = make_model(homes, 4)
+        windows = stride_one(homes, 4)[homes[0].name][:2]
         with pytest.raises(ValueError, match="masks shape"):
-            model.event_rows([make_window(n=4)] * 2, np.zeros((2, 3, N_SLOTS)))
+            model.event_rows(windows, np.zeros((2, 3, N_SLOTS)))
+
+    @pytest.mark.parametrize("path", ["event_rows", "batch"])
+    def test_unregistered_stream_rejected(self, homes, path):
+        model = make_model(homes, 4)
+        windows = stride_one(homes, 4)[homes[0].name][:2] + [Window("attic", 0, 4)]
+        with pytest.raises(ValueError, match="no stream features for dataset 'attic'"):
+            getattr(model, path)(windows)
 
     def test_taped_path_still_reaches_event_encoder(self, homes):
         model = make_model(homes, 4)
@@ -202,7 +202,7 @@ class TestGatheredGradients:
         for ds in homes:
             model.add_stream_features(ds.name, ds.stream.events)
         first, second = (stride_one(homes, n)[ds.name] for ds in homes)
-        windows = first[5:9] + [make_window(n=n, seed=seed)] + second[2:4] + first[6:7]
+        windows = first[5:9] + [toy_window(model, n=n, seed=seed)] + second[2:4] + first[6:7]
         return model, windows
 
     @pytest.mark.parametrize("seed", [0, 1])

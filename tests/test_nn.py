@@ -270,7 +270,7 @@ class TestParamGroup:
     def test_frozen_group_untouched_by_apply(self):
         # fine-tuning steps only the trainable groups; a frozen backbone keeps
         # its bytes and has stale gradients cleared, never applied
-        from conftest import make_window, toy_config
+        from conftest import toy_config, toy_window
         from domusfm.downstream import FinetuneSettings, FinetuneStrategy, TrainItem, finetune
         from domusfm.embeddings import fallback_table
         from domusfm.model import CONTEXT_GROUP, EVENT_GROUP, Model
@@ -281,7 +281,7 @@ class TestParamGroup:
             for t in g.tensors.values():
                 t.grad = np.ones_like(t.data)
         before = [g.state_bytes() for g in backbone]
-        items = [TrainItem(make_window(n=4, seed=i), label=("cook", "sleep")[i % 2])
+        items = [TrainItem(toy_window(model, n=4, seed=i), label=("cook", "sleep")[i % 2])
                  for i in range(8)]
         finetune(model, items, "adl",
                  FinetuneSettings(strategy=FinetuneStrategy.HEAD_ONLY, epochs=2,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_window, toy_config
+from conftest import toy_config, toy_window
 from domusfm.autodiff import Tensor, grad_check, parameter, precision
 from domusfm.embeddings import fallback_table
 from domusfm.event_encoder import N_SLOTS
@@ -20,30 +20,30 @@ from domusfm.pretraining import (
     loss_history_csv,
     pretrain,
 )
-from domusfm.segmentation import segment_events
+from domusfm.segmentation import Window, segment_events
 
 SEEDS = (0, 1, 2)
 
 
 class TestAugmentations:
     def test_zero_probability_is_identity(self):
-        w = make_window(n=8, seed=0)
+        w = Window("home", 0, 8)
         assert not augment_mask_attribute(w, 0.0, np.random.default_rng(0)).any()
         assert not augment_mask_event(w, 0.0, np.random.default_rng(0)).any()
 
     def test_probability_one_masks_exactly_one_slot_each(self):
-        w = make_window(n=50, seed=1)
+        w = Window("home", 0, 50)
         mask = augment_mask_attribute(w, 1.0, np.random.default_rng(1))
         assert (mask.sum(axis=1) == 1).all()
 
     def test_event_mask_is_all_or_nothing(self):
-        w = make_window(n=50, seed=2)
+        w = Window("home", 0, 50)
         per_event = augment_mask_event(w, 0.5, np.random.default_rng(2)).sum(axis=1)
         assert set(per_event.tolist()) <= {0, N_SLOTS}
         assert per_event.max() == N_SLOTS
 
     def test_seeded_reproducibility(self):
-        w = make_window(n=20, seed=3)
+        w = Window("home", 0, 20)
         a = augment_mask_attribute(w, 0.4, np.random.default_rng(9))
         b = augment_mask_attribute(w, 0.4, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
@@ -51,7 +51,7 @@ class TestAugmentations:
     def test_attribute_mask_matches_per_event_draws(self):
         # one vectorized assignment stands for the per-event loop: event i gets
         # slot slots[i] iff it was selected, from the same two draws in order
-        w = make_window(n=40, seed=8)
+        w = Window("home", 0, 40)
         mask = augment_mask_attribute(w, 0.3, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         selected = rng.random(40) < 0.3
@@ -63,16 +63,26 @@ class TestAugmentations:
         np.testing.assert_array_equal(mask, expected)
 
     def test_augmentation_never_touches_events(self):
-        w = make_window(n=10, seed=4)
-        events = tuple(w.events)
+        model = Model.init(toy_config(), fallback_table(8), seed=0)
+        w = toy_window(model, n=10, seed=4)
+        feats = model.features[w.dataset]
+
+        def arrays():
+            return [*feats.text.values(), *feats.null_mask.values(), feats.dow_feats,
+                    feats.hour_feats, feats.sec_ids, feats.status_ids]
+
+        before = [a.copy() for a in arrays()]
         augment_mask_event(w, 0.7, np.random.default_rng(5))
         augment_mask_attribute(w, 0.7, np.random.default_rng(5))
-        assert tuple(w.events) == events  # a view differs only by its mask flags
+        # a view differs only by its mask flags: the stream's inputs stay as they were
+        assert model.features[w.dataset] is feats
+        for now, then in zip(arrays(), before):
+            np.testing.assert_array_equal(now, then)
 
     def test_masked_fraction_matches_probability(self):
         # binomial bound: |observed - p| < 3 * sqrt(p (1-p) / n)
         p, n = 0.15, 10_000
-        w = make_window(n=100, seed=6)
+        w = Window("home", 0, 100)
         rng = np.random.default_rng(7)
         masked = 0
         for _ in range(n // 100):
@@ -82,7 +92,7 @@ class TestAugmentations:
 
     def test_mask_shape_validated(self):
         for n in (1, 3, 30):
-            w = make_window(n=n, seed=n)
+            w = Window("home", 0, n)
             for augment in (augment_mask_attribute, augment_mask_event):
                 mask = augment(w, 0.5, np.random.default_rng(n))
                 assert mask.shape == (n, N_SLOTS) and mask.dtype == bool

@@ -15,6 +15,11 @@ def make_stream(n, labeler=None):
     return EventStream(events, labels)
 
 
+def times_of(stream, window):
+    """Timestamps of the stream events a window views."""
+    return [e.timestamp for e in stream.events[window.start:window.end + 1]]
+
+
 def enumerate_starts(total, n, stride):
     """Independent oracle: list every valid window start by brute force."""
     return [s for s in range(0, total + 1, stride) if s + n <= total]
@@ -60,8 +65,10 @@ class TestEventSegmentation:
         assert covered.issuperset(range(0, windows[-1].start + n))
 
     def test_windows_preserve_order(self):
-        for w in segment_events(make_stream(50), n=7, overlap=3):
-            times = [e.timestamp for e in w.events]
+        stream = make_stream(50)
+        for w in segment_events(stream, n=7, overlap=3, dataset="home"):
+            times = times_of(stream, w)
+            assert len(times) == len(w) == w.n and w.dataset == "home"
             assert times == sorted(times)
 
 
@@ -69,7 +76,7 @@ class TestTimeSegmentation:
     def test_closed_interval_example(self):
         stream = make_stream(10)  # events at t = 1..10
         windows = segment_time(stream, delta_t=5, overlap_fraction=0.0)
-        spans = [[e.timestamp for e in w.events] for w in windows]
+        spans = [times_of(stream, w) for w in windows]
         assert spans == [[1, 2, 3, 4, 5, 6], [6, 7, 8, 9, 10]]
 
     def test_empty_stream(self):
@@ -78,7 +85,7 @@ class TestTimeSegmentation:
     def test_half_overlap_starts_every_five(self):
         stream = make_stream(40)
         windows = segment_time(stream, delta_t=10, overlap_fraction=0.5)
-        starts = [w.events[0].timestamp for w in windows]
+        starts = [stream.events[w.start].timestamp for w in windows]
         assert starts[:4] == [1, 6, 11, 16]
 
     def test_variable_window_length(self):
@@ -89,8 +96,16 @@ class TestTimeSegmentation:
         # interval starts advance by 5 from t=1; [1,6] -> {1,2,3},
         # [46,51] -> {50,51}, [51,56] -> {51}; empty intervals skipped
         assert [len(w) for w in windows] == [3, 2, 1]
-        assert [[e.timestamp for e in w.events] for w in windows] == \
-            [[1, 2, 3], [50, 51], [51]]
+        assert [times_of(stream, w) for w in windows] == [[1, 2, 3], [50, 51], [51]]
+
+    def test_views_name_their_interval(self):
+        events = tuple(Event(t, S, ON if i % 2 == 0 else OFF)
+                       for i, t in enumerate([1, 2, 3, 50, 51, 52]))
+        stream = EventStream(events, ("a", "b", "c", "d", None, "f"))
+        windows = segment_time(stream, delta_t=5, dataset="home")
+        # [1,6] -> 0..2, [46,51] -> 3..4, [51,56] -> 4..5
+        assert [(w.dataset, w.start, w.n, w.label) for w in windows] == \
+            [("home", 0, 3, "c"), ("home", 3, 2, None), ("home", 4, 2, "f")]
 
 
 class TestWindowLabel:
@@ -128,5 +143,5 @@ class TestConfig:
             segment_time(stream, delta_t=5, overlap_fraction=1.0)
 
     def test_window_requires_events(self):
-        with pytest.raises(ValueError):
-            Window(events=(), labels=())
+        with pytest.raises(ValueError, match="at least one event"):
+            Window("home", 0, 0)

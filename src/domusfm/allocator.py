@@ -1,7 +1,8 @@
 """Fixed glibc malloc thresholds for numpy's large temporaries.
 
-Every autodiff op returns a fresh array, and the context encoder's are
-megabytes each (a (64, 30, 256) float32 FFN activation is 1.9 MB). glibc
+Each pass allocates new arrays for op outputs and temporaries (the hot ops
+reuse buffers within a call, not across calls), and the context encoder's
+are megabytes each (a (64, 30, 256) float32 FFN activation is 1.9 MB). glibc
 serves a request above its mmap threshold with a fresh ``mmap``, and gives
 the top of the heap back to the kernel once more than its trim threshold lies
 free there; either way the next pass faults the pages in again. By default

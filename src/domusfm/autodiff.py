@@ -186,10 +186,19 @@ def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad``; the first gradient is stored without a copy.
+
+    A stored gradient may share memory with another (``add`` hands one array
+    to both parents). That is safe because nothing writes into a gradient in
+    place: accumulation makes a new array, and no backward writes into its
+    incoming ``g``. Views are stored C-contiguous, because later reductions
+    sum in layout order; ``order="C"`` keeps 0-d gradients 0-d, unlike
+    ``np.ascontiguousarray``.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+        t.grad = np.asarray(g, order="C")
     else:
         t.grad = t.grad + g
 
@@ -298,17 +307,40 @@ def gelu(a) -> Tensor:
     """Smooth GELU (tanh form); kink-free, so finite differences stay clean.
 
     Powers are written as products: ``x ** 3`` on float32 goes through the
-    generic ``powf`` path, about 80 times slower than two multiplies.
+    generic ``powf`` path, about 80 times slower than two multiplies. Forward
+    and backward run in place in buffers they allocate, in the order of the
+    textbook formulas except that the factor 0.5 comes last. The bits are the
+    same: halving is exact, and where it rounds (subnormal ``x``) the other
+    factor, ``1 + t`` or ``1 - t * t``, is exactly 1. Only |x| above half the
+    float32 range differs, where ``x * (1 + t)`` overflows.
     """
     a = as_tensor(a)
     x = a.data
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)  # t = tanh(c * (x + a * x**3))
+    data = t + 1.0
+    data *= x
+    data *= 0.5
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-        _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du))
+        dg = t * t
+        np.subtract(1.0, dg, out=dg)
+        dg *= x
+        dg *= 0.5                       # 0.5 * x * (1 - t**2)
+        du = x * x
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C                   # d u / d x
+        dg *= du
+        np.add(t, 1.0, out=du)
+        du *= 0.5                       # 0.5 * (1 + t)
+        dg += du
+        dg *= g
+        _accumulate(a, dg)
 
     return _make(data, (a,), backward)
 
@@ -446,16 +478,38 @@ def take_rows(table, indices: np.ndarray) -> Tensor:
 # -- normalization / softmax -------------------------------------------------
 
 
+def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis=axis, keepdims=True)`` as a loop of elementwise maxima.
+
+    At the attention rows (7 event slots, n_window events) the loop is faster
+    than numpy's strided reduction; max is exact in any order, so both give
+    the same bits.
+    """
+    axis %= x.ndim
+    lead = (slice(None),) * axis
+    m = x[lead + (slice(0, 1),)].copy()
+    for j in range(1, x.shape[axis]):
+        np.maximum(m, x[lead + (slice(j, j + 1),)], out=m)
+    return m
+
+
 def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtraction)."""
+    """Numerically stable softmax along ``axis`` (max-subtraction).
+
+    ``exp(x - max) / sum`` runs in one output buffer; the backward
+    ``y * (g - sum(g * y))`` in one buffer of its own.
+    """
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = a.data - _row_max(a.data, axis)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (g - inner))
+        grad = g * data
+        inner = grad.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=grad)
+        grad *= data
+        _accumulate(a, grad)
 
     return _make(data, (a,), backward)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor, log_softmax, no_grad, softplus, tensor_mean, tensor_sum
 from .events import EventStream
 from .model import CONTEXT_GROUP, EVENT_GROUP, Model
-from .nn import NumericError, ParamGroup, adam_step, init_adam, init_linear, linear
+from .nn import NumericError, ParamGroup, adam_step, check_lr, init_adam, init_linear, linear
 from .segmentation import Window
 
 ADL_GROUP = "adl_head"
@@ -189,6 +189,7 @@ class FinetuneSettings:
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError(f"need epochs >= 0 and batch_size >= 1, got "
                              f"epochs={self.epochs}, batch_size={self.batch_size}")
+        check_lr(self.lr)
 
 
 @dataclass

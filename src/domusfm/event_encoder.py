@@ -197,12 +197,19 @@ def gather_batch(blocks: Sequence[tuple[StreamFeatures, object]], shape: tuple[i
     return batch
 
 
-def stream_features(features: dict[str, StreamFeatures], dataset: str) -> StreamFeatures:
-    """The features registered for ``dataset``; every window reads its events here."""
+def stream_features(features: dict[str, StreamFeatures], dataset: str,
+                    stop: int) -> StreamFeatures:
+    """The features of stream ``dataset``, which must hold events ``[0, stop)``.
+
+    Every window reads its events here.
+    """
     feats = features.get(dataset)
     if feats is None:
-        raise ValueError(f"no stream features for dataset {dataset!r}; register the "
-                         f"stream with Model.add_stream_features first")
+        raise ValueError(f"no stream features for dataset {dataset!r}; register "
+                         f"the stream with Model.add_stream_features first")
+    if stop > len(feats):
+        raise ValueError(f"a window reaching event {stop - 1} runs past the end of "
+                         f"stream {dataset!r} ({len(feats)} events)")
     return feats
 
 
@@ -216,7 +223,8 @@ def build_batch(windows: Sequence[Window], features: dict[str, StreamFeatures],
     n = len(windows[0])
     if any(len(w) != n for w in windows):
         raise ValueError("all windows in a batch must have the same length")
-    blocks = [(stream_features(features, w.dataset), slice(w.start, w.start + n))
+    blocks = [(stream_features(features, w.dataset, w.start + n),
+               slice(w.start, w.start + n))
               for w in windows]
     return gather_batch(blocks, (len(windows), n), masks)
 

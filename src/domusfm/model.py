@@ -123,7 +123,8 @@ class Model:
             spans = np.array([windows[i].start for i in members])[:, None] + np.arange(n)
             keys, inverse = np.unique((spans << N_SLOTS) | bits[members],
                                       return_inverse=True)
-            blocks.append((stream_features(self.features, name), keys >> N_SLOTS))
+            rows = keys >> N_SLOTS
+            blocks.append((stream_features(self.features, name, rows[-1] + 1), rows))
             row_bits.append(keys & ((1 << N_SLOTS) - 1))
             index[members] = total + inverse.reshape(spans.shape)
             total += len(keys)

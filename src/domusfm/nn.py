@@ -7,13 +7,16 @@ checkpointing operate on whole groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
+    _accumulate,
+    _make,
+    _unbroadcast,
     as_tensor,
     gelu,
     matmul,
@@ -97,36 +100,59 @@ def init_attention(group: ParamGroup, name: str, d: int, rng: np.random.Generato
 
 
 def linear(x, w, b) -> Tensor:
-    """x @ w + b with an explicit conformance check."""
+    """x @ w + b with an explicit conformance check.
+
+    The bias is added into the GEMM output in place. The tape keeps the two
+    nodes of ``add(matmul(x, w), b)``, so gradients accumulate in the same
+    order; the matmul node's data is the sum, which is safe because its
+    backward reads only ``x`` and ``w``.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[-1]:
         raise ValueError(
             f"linear shape mismatch: x{list(x.shape)} @ w{list(w.shape)} + b{list(b.shape)}"
         )
-    return add(matmul(x, w), b)
+    h = matmul(x, w)
+    data = h.data
+    data += b.data
+
+    def backward(g):
+        _accumulate(h, g)
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return _make(data, (h, b), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The centred input becomes ``xhat`` in place, and the squares become the
+    output, so the forward allocates two full-size arrays.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gain.data + bias.data
-
-    from .autodiff import _accumulate, _make, _unbroadcast
+    if not d == gain.shape[-1] == bias.shape[-1]:
+        raise ValueError(f"layer_norm shape mismatch: x{list(x.shape)}, "
+                         f"gain{list(gain.shape)}, bias{list(bias.shape)}")
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    data = np.square(xhat)
+    inv = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def backward(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, (dxhat - m1 - xhat * m2) * inv)
-        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+        dx = g * gain.data                              # d loss / d xhat
+        m1 = dx.mean(axis=-1, keepdims=True)
+        tmp = dx * xhat
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=tmp)
+        dx *= inv
+        _accumulate(x, dx)
+        _accumulate(gain, _unbroadcast(np.multiply(g, xhat, out=tmp), gain.data.shape))
         _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
-    assert d == gain.shape[-1] == bias.shape[-1]
     return _make(data, (x, gain, bias), backward)
 
 
@@ -181,6 +207,12 @@ class AdamState:
     step: int = 0
     m: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     v: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+
+
+def check_lr(lr: float):
+    """Reject a learning rate that is not a finite number > 0."""
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be a finite number > 0, got {lr}")
 
 
 def init_adam(groups: list[ParamGroup], lr: float = 1e-3) -> AdamState:

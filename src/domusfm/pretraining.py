@@ -18,7 +18,7 @@ from .autodiff import Tensor, l2_normalize, log_softmax, matmul, no_grad, transp
 from .event_encoder import N_SLOTS
 from .ingest import build_sampling_plan
 from .model import CONTEXT_GROUP, EVENT_GROUP, Model
-from .nn import NumericError, adam_step, init_adam
+from .nn import NumericError, adam_step, check_lr, init_adam
 from .context_encoder import pool_sequence
 from .segmentation import Window
 
@@ -49,6 +49,7 @@ class PretrainConfig:
             raise ValueError("epoch counts must be nonnegative")
         if self.windows_per_dataset is not None and self.windows_per_dataset < 1:
             raise ValueError("windows_per_dataset must be positive")
+        check_lr(self.lr)
 
 
 def augment_mask_attribute(window: Window, p_event_select: float,

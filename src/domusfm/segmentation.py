@@ -32,6 +32,8 @@ class Window:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("window must contain at least one event")
+        if self.start < 0:
+            raise ValueError(f"window start must be >= 0, got {self.start}")
 
     def __len__(self):
         return self.n

@@ -167,6 +167,19 @@ class TestPrimitiveGradients:
         assert _check(build, seed) < TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_softmax_middle_axis(self, seed):
+        def build(rng):
+            a = parameter(rng.normal(size=(3, 4, 5)))
+
+            def f():
+                return _projected_sum(ad.softmax(a, axis=1),
+                                      np.random.default_rng(seed + 100))
+
+            return [a], f
+
+        assert _check(build, seed) < TOL
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_nonlinearities(self, seed):
         def build(rng):
             a = parameter(rng.normal(size=(4, 3)))
@@ -249,6 +262,30 @@ class TestTapeMechanics:
             y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
             y.sum().backward()
             np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_shared_gradient_survives_later_accumulation(self):
+        # add hands one gradient array to both leaves; accumulating more into
+        # one of them must leave the other's untouched
+        a = parameter(np.ones((2, 3)))
+        b = parameter(np.ones((2, 3)))
+        (a + b).sum().backward()
+        assert np.shares_memory(a.grad, b.grad)
+        (a * 3.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+    def test_stored_grads_are_c_contiguous(self):
+        a = parameter(np.arange(12.0).reshape(3, 4))
+        b = parameter(np.arange(6.0).reshape(3, 2))
+        v = parameter(np.arange(5.0))
+        r = Tensor(np.linspace(-1.0, 1.0, 18).reshape(6, 3))
+        out = (ad.transpose(ad.concat([a, b], axis=1), (1, 0)) * r).sum()
+        (out + ad.tensor_sum(v, axis=0) * 2.0).backward()  # a 0-d gradient on the way
+        for t in (a, b, v):
+            assert t.grad.flags.c_contiguous
+        np.testing.assert_array_equal(a.grad, r.data.T[:, :4])
+        np.testing.assert_array_equal(b.grad, r.data.T[:, 4:])
+        np.testing.assert_array_equal(v.grad, np.full(5, 2.0))
 
     def test_backward_requires_scalar(self):
         x = parameter(np.ones((2, 2)))

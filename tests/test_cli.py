@@ -111,7 +111,7 @@ class TestConfig:
 class TestBadConfigValues:
     """A value the config rejects is a usage error, found before any file is read."""
 
-    @pytest.mark.parametrize("command", ["pretrain", "eval"])
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval"])
     @pytest.mark.parametrize("override, needle", [
         ("protocol.pcts=abc", "protocol.pcts"),
         ("protocol.k=x", "protocol.k"),
@@ -122,12 +122,15 @@ class TestBadConfigValues:
         ("segmentation.overlap=30", "overlap=30"),
         ("pretrain.windows_per_dataset=-1", "windows_per_dataset"),
         ("finetune.batch_size=0", "batch_size=0"),
+        ("finetune.lr=-1", "lr must be a finite number > 0, got -1.0"),
+        ("pretrain.lr=0", "lr must be a finite number > 0, got 0.0"),
+        ("pretrain.lr=nan", "got nan"),
     ])
     def test_is_usage_error(self, workspace, capsys, command, override, needle):
         # the dataset and checkpoint do not exist: reading them would exit 2
         argv = [command, "--config", "run.cfg", "--set", "paths.datasets=ghost.csv",
                 "--set", override]
-        if command == "eval":
+        if command != "pretrain":
             argv += ["--checkpoint", "ghost.ckpt", "--held-out", "ghost"]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err

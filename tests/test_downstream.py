@@ -230,6 +230,11 @@ class TestFinetune:
             lasts.append(loss_now(head))
         assert np.mean(lasts) < np.mean(firsts)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be a finite number > 0"):
+            FinetuneSettings(lr=lr)
+
     def test_empty_training_set_rejected(self):
         model = Model.init(toy_config(), None, seed=0)
         with pytest.raises(ValueError, match="empty"):

@@ -109,6 +109,16 @@ class TestEventRows:
         with pytest.raises(ValueError, match="no stream features for dataset 'attic'"):
             getattr(model, path)(windows)
 
+    @pytest.mark.parametrize("path", ["event_rows", "batch"])
+    def test_window_past_stream_end_rejected(self, homes, path):
+        model = make_model(homes, 4)
+        name, total = homes[0].name, len(homes[0].stream)
+        windows = stride_one(homes, 4)[name][:2] + [Window(name, total - 3, 4)]
+        with pytest.raises(ValueError, match=rf"a window reaching event {total} runs "
+                                             rf"past the end of stream '{name}' "
+                                             rf"\({total} events\)"):
+            getattr(model, path)(windows)
+
     def test_taped_path_still_reaches_event_encoder(self, homes):
         model = make_model(homes, 4)
         windows = stride_one(homes, 4)[homes[0].name][:6]

@@ -246,6 +246,11 @@ class TestPretrain:
         with pytest.raises(ValueError):
             PretrainConfig(batch_size=1)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be a finite number > 0"):
+            PretrainConfig(lr=lr)
+
     def test_loss_history_csv_format(self):
         csv = loss_history_csv([LossRecord(1, 0, 0, 0.5), LossRecord(2, 1, 3, 0.25)])
         lines = csv.strip().split("\n")

@@ -145,3 +145,7 @@ class TestConfig:
     def test_window_requires_events(self):
         with pytest.raises(ValueError, match="at least one event"):
             Window("home", 0, 0)
+
+    def test_window_start_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="start must be >= 0, got -2"):
+            Window("home", -2, 3)

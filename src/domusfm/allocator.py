@@ -1,4 +1,4 @@
-"""Fixed glibc malloc thresholds for numpy's large temporaries.
+"""Process settings pinned at import: glibc's malloc thresholds and one BLAS thread.
 
 Each pass allocates new arrays for op outputs and temporaries (the hot ops
 reuse buffers within a call, not across calls), and the context encoder's
@@ -17,6 +17,12 @@ glibc's adaptive rule would reach: every temporary up to 32 MB stays on the
 heap, and the adaptation is off. A process started with either threshold set
 (``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or their
 ``GLIBC_TUNABLES`` names) keeps its own; other C libraries are left alone.
+
+OpenBLAS splits a large GEMM across its threads, which reorders the float32
+sums: the same pretraining run wrote other checkpoint bytes on two CPUs than on
+one. ``pin_blas_threads`` sets one thread through the entry point that numpy's
+wheels bundle, unless a thread variable is set; a numpy without that entry
+point is left alone.
 """
 
 from __future__ import annotations
@@ -25,12 +31,15 @@ import ctypes
 import os
 import sys
 
+import numpy as np
+
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 # the ceiling of glibc's adaptive mmap threshold on 64-bit, and twice that
 # for trimming, as its own rule would set them
 MMAP_THRESHOLD = 32 * 1024 * 1024
 TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def pin_malloc_thresholds() -> bool:
@@ -48,3 +57,18 @@ def pin_malloc_thresholds() -> bool:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)) \
         and bool(mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
+
+
+def pin_blas_threads() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread; True when it was set."""
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return False
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return False
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    set_threads(1)
+    return True

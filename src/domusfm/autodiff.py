@@ -165,10 +165,6 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _wants_grad(*tensors: Tensor) -> bool:
-    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-
-
 def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data

@@ -42,7 +42,7 @@ def _header(groups: list[ParamGroup], meta: dict | None) -> tuple[bytes, list[np
             })
             payload.append(arr)
             offset += arr.nbytes
-        entries.append({"name": group.name, "frozen": group.frozen, "tensors": tensors})
+        entries.append({"name": group.name, "tensors": tensors})
     header = {"format": 1, "groups": entries}
     if meta:
         header["meta"] = meta
@@ -106,7 +106,8 @@ def read_checkpoint(path: str) -> tuple[list[ParamGroup], dict]:
 
 
 def _read_group(gspec: dict, payload: bytes) -> ParamGroup:
-    group = ParamGroup(gspec["name"], frozen=bool(gspec["frozen"]))
+    """One group from its header entry; other keys (older files' ``frozen``) are ignored."""
+    group = ParamGroup(gspec["name"])
     for tspec in gspec["tensors"]:
         if tspec["dtype"] not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {tspec['dtype']!r} "
@@ -146,7 +147,7 @@ def load_into_groups(path: str, groups: dict[str, ParamGroup],
                 raise CheckpointError(
                     f"shape mismatch for {lg.name}/{name}: checkpoint "
                     f"{t.data.shape}, model {target.tensors[name].data.shape}")
-            plan.append((target, lg.frozen, name, t.data))
+            plan.append((target, name, t.data))
     saved = meta.get("config", {})
     for key, value in (config or {}).items():
         if key in saved and saved[key] != value:
@@ -156,7 +157,6 @@ def load_into_groups(path: str, groups: dict[str, ParamGroup],
         missing = sorted(groups[lg.name].tensors.keys() - lg.tensors.keys())
         if missing:
             raise CheckpointError(f"model tensors {lg.name}/{missing} missing from checkpoint")
-    for target, frozen, name, data in plan:
+    for target, name, data in plan:
         target.tensors[name].data = data.astype(target.tensors[name].data.dtype)
-        target.frozen = frozen
     return meta

@@ -23,7 +23,8 @@ import sys
 from .checkpoint import CheckpointError, atomic_write
 from .downstream import FinetuneSettings, FinetuneStrategy
 from .embeddings import load_table_tsv
-from .evaluation import EvalProtocol, LodoConfig, MetricReport, grid_run, kfold_splits
+from .evaluation import (EvalProtocol, LodoConfig, MetricReport, control_model, grid_run,
+                         kfold_splits)
 from .event_encoder import ModelConfig
 from .ingest import (
     ActivityScript,
@@ -348,9 +349,7 @@ def _checkpoint_grid(args, config: dict, with_control: bool) -> int:
     for seed in lodo.protocol.seeds:
         variants = [("", model)]
         if with_control:
-            control = Model.init(lodo.model, load_table(config), seed=seed + 104729)
-            control.features = model.features
-            variants.append(("_control", control))
+            variants.append(("_control", control_model(model, seed)))
         grid_run(report, variants, held, splits, lodo, seed,
                  progress=(print if args.verbose else None))
     out_name = "eval_metrics.csv" if with_control else "finetune_metrics.csv"

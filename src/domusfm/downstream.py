@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor, log_softmax, no_grad, softplus, tensor_mean, tensor_sum
 from .events import EventStream
-from .model import CONTEXT_GROUP, EVENT_GROUP, Model
+from .model import Model
 from .nn import NumericError, ParamGroup, adam_step, check_lr, init_adam, init_linear, linear
 from .segmentation import Window
 
@@ -107,12 +107,17 @@ def adl_logits(pooled: Tensor, head: AdlHead) -> Tensor:
     return linear(pooled, head.params["out.w"], head.params["out.b"])
 
 
+def _one_row(pooled) -> Tensor:
+    """A pooled (d,) row as a (1, d) tensor; any other shape is a ValueError."""
+    row = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
+    if row.ndim != 1:
+        raise ValueError(f"expected one pooled row of shape (d,), got shape {row.shape}")
+    return Tensor(row.data[None, :])
+
+
 def adl_predict(pooled, head: AdlHead) -> tuple[np.ndarray, int]:
-    """(logits, argmax class index); ties break toward the lowest index."""
-    pooled_t = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
-    if pooled_t.ndim == 1:
-        pooled_t = Tensor(pooled_t.data[None, :])
-    logits = adl_logits(pooled_t, head).data[0]
+    """(logits, argmax class index) of one (d,) row; ties break toward the lowest index."""
+    logits = adl_logits(_one_row(pooled), head).data[0]
     return logits, int(np.argmax(logits))
 
 
@@ -149,11 +154,8 @@ def largest_remainder(expected: np.ndarray, k: int) -> np.ndarray:
 
 
 def nextk_predict(pooled, head: NextKHead, k: int) -> EventMultiset:
-    """Decode an exact-total-k multiset from the counts head."""
-    pooled_t = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
-    if pooled_t.ndim == 1:
-        pooled_t = Tensor(pooled_t.data[None, :])
-    scores = expected_counts(pooled_t, head).data[0]
+    """Decode an exact-total-k multiset from the counts head for one (d,) row."""
+    scores = expected_counts(_one_row(pooled), head).data[0]
     apportioned = largest_remainder(scores, k)
     counts = {etype: int(c) for etype, c in zip(head.vocabulary, apportioned) if c > 0}
     return EventMultiset.from_dict(counts)
@@ -220,86 +222,81 @@ def nextk_loss(pooled: Tensor, target_counts: np.ndarray, head: NextKHead,
     return ce + mse * count_loss_weight
 
 
+def batched_pooled(model: Model, windows: Sequence[Window], chunk: int = 256) -> np.ndarray:
+    """Pooled representations for many windows, forward-only."""
+    outputs = []
+    with no_grad():
+        for lo in range(0, len(windows), chunk):
+            _, pooled = model.window_tensors(windows[lo:lo + chunk])
+            outputs.append(pooled.data)
+    return np.concatenate(outputs, axis=0)
+
+
 def finetune(model: Model, train_set: Sequence[TrainItem], task: str,
              settings: FinetuneSettings,
-             head: Optional[AdlHead | NextKHead] = None,
              classes: Optional[Sequence[str]] = None,
              vocabulary: Optional[Sequence[tuple[str, str]]] = None):
-    """Train a task head (and optionally the backbone) on labeled windows.
+    """Train a new task head (and with FULL the backbone) on labeled windows.
 
-    Returns the trained head. The model's encoder groups are updated in place
-    when the strategy is FULL; HEAD_ONLY leaves them bit-identical.
+    The head, the targets, the groups Adam steps and, for HEAD_ONLY, the pooled
+    features of every window are set up once; each step then picks its rows.
+    Returns the trained head. HEAD_ONLY leaves the encoder groups bit-identical.
     """
     if not train_set:
         raise ValueError("empty training set")
     if task == "adl":
-        if head is None:
-            if classes is None:
-                raise ValueError("ADL fine-tuning needs the class list")
-            head = init_adl_head(classes, model.config.d, seed=settings.seed)
+        if classes is None:
+            raise ValueError("ADL fine-tuning needs the class list")
+        head = init_adl_head(classes, model.config.d, seed=settings.seed)
         class_index = {c: i for i, c in enumerate(head.classes)}
         for item in train_set:
             if item.label is None or item.label not in class_index:
                 raise ValueError(f"window label {item.label!r} not in class list")
+        targets = np.array([class_index[item.label] for item in train_set])
+
+        def task_loss(pooled, rows):
+            return adl_loss(pooled, targets[rows], head)
     elif task == "nextk":
-        if head is None:
-            if vocabulary is None:
-                raise ValueError("next-k fine-tuning needs the event-type vocabulary")
-            head = init_nextk_head(vocabulary, model.config.d, seed=settings.seed)
+        if vocabulary is None:
+            raise ValueError("next-k fine-tuning needs the event-type vocabulary")
+        head = init_nextk_head(vocabulary, model.config.d, seed=settings.seed)
         type_index = {t: i for i, t in enumerate(head.vocabulary)}
-        for item in train_set:
+        targets = np.zeros((len(train_set), len(type_index)))
+        for i, item in enumerate(train_set):
             if item.target is None:
                 raise ValueError("next-k fine-tuning needs a target multiset per window")
-            for etype in item.target.as_dict():
+            for etype, count in item.target.as_dict().items():
                 if etype not in type_index:
                     raise ValueError(f"event type {etype} not in head vocabulary")
+                targets[i, type_index[etype]] = count
+
+        def task_loss(pooled, rows):
+            return nextk_loss(pooled, targets[rows], head, settings.count_loss_weight)
     else:
         raise ValueError(f"unknown task {task!r}")
 
-    backbone_frozen = settings.strategy == FinetuneStrategy.HEAD_ONLY
-    model.set_frozen(EVENT_GROUP, backbone_frozen)
-    model.set_frozen(CONTEXT_GROUP, backbone_frozen)
     model.groups[head.params.name] = head.params
     for group in model.groups.values():  # no stale gradient trains or lingers
         group.zero_grad()
-    trainable = model.trainable_groups()
+    windows = [item.window for item in train_set]
+    head_only = settings.strategy == FinetuneStrategy.HEAD_ONLY
+    trainable = [head.params] if head_only else \
+        [model.event_params, model.context_params, head.params]
+    features = batched_pooled(model, windows, settings.batch_size) if head_only else None
     adam = init_adam(trainable, lr=settings.lr)
 
     rng = np.random.default_rng([settings.seed, 0xF1])
-    items = list(train_set)
-    rep_cache: dict[int, np.ndarray] = {}
     for epoch in range(settings.epochs):
-        order = rng.permutation(len(items))
-        for lo in range(0, len(items), settings.batch_size):
-            chunk = [items[i] for i in order[lo:lo + settings.batch_size]]
-            windows = [item.window for item in chunk]
-            if backbone_frozen:
-                missing = [i for i, item in enumerate(chunk) if id(item) not in rep_cache]
-                if missing:
-                    with no_grad():
-                        _, pooled_new = model.window_tensors(
-                            [windows[i] for i in missing])
-                    for j, i in enumerate(missing):
-                        rep_cache[id(chunk[i])] = pooled_new.data[j]
-                pooled = Tensor(np.stack([rep_cache[id(item)] for item in chunk]))
+        order = rng.permutation(len(windows))
+        for lo in range(0, len(windows), settings.batch_size):
+            rows = order[lo:lo + settings.batch_size]
+            if head_only:
+                pooled = Tensor(features[rows])
             else:
-                _, pooled = model.window_tensors(windows)
-            if task == "adl":
-                ids = np.array([class_index[item.label] for item in chunk])
-                loss = adl_loss(pooled, ids, head)
-            else:
-                targets = np.stack([_target_vector(item.target, type_index)
-                                    for item in chunk])
-                loss = nextk_loss(pooled, targets, head, settings.count_loss_weight)
+                _, pooled = model.window_tensors([windows[i] for i in rows])
+            loss = task_loss(pooled, rows)
             if not np.isfinite(loss.data).all():
                 raise NumericError(f"non-finite fine-tuning loss at epoch {epoch}")
             loss.backward()
             adam_step(trainable, adam)
     return head
-
-
-def _target_vector(target: EventMultiset, type_index: dict) -> np.ndarray:
-    vec = np.zeros(len(type_index))
-    for etype, count in target.as_dict().items():
-        vec[type_index[etype]] = count
-    return vec

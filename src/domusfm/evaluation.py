@@ -12,7 +12,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import no_grad
 from .downstream import (
     AdlHead,
     EventMultiset,
@@ -20,6 +19,7 @@ from .downstream import (
     NextKHead,
     TrainItem,
     adl_predict,
+    batched_pooled,
     finetune,
     nextk_predict,
     nextk_target,
@@ -221,16 +221,6 @@ def eligible_nextk_items(windows: Sequence[Window], dataset: Dataset,
     return items
 
 
-def batched_pooled(model: Model, windows: Sequence[Window], chunk: int = 256) -> np.ndarray:
-    """Pooled representations for many windows, forward-only."""
-    outputs = []
-    with no_grad():
-        for lo in range(0, len(windows), chunk):
-            _, pooled = model.window_tensors(windows[lo:lo + chunk])
-            outputs.append(pooled.data)
-    return np.concatenate(outputs, axis=0)
-
-
 def adl_predictions(model: Model, head: AdlHead,
                     items: Sequence[TrainItem]) -> tuple[list, list]:
     pooled = batched_pooled(model, [it.window for it in items])
@@ -247,6 +237,13 @@ def evaluate_nextk(model: Model, head: NextKHead, items: Sequence[TrainItem],
         scores.append(multiset_prf(item.target, pred))
     arr = np.asarray(scores)
     return tuple(float(x) for x in arr.mean(axis=0))
+
+
+def control_model(model: Model, seed: int) -> Model:
+    """Random-init control for ``seed``: ``model``'s architecture, table and stream features."""
+    control = Model.init(model.config, model.table, seed=seed + 104729)
+    control.features = model.features
+    return control
 
 
 @dataclass
@@ -299,12 +296,9 @@ def lodo_run(datasets: Sequence[Dataset], config: LodoConfig,
         if protocol.held_out in result.seen_datasets:
             raise AssertionError("held-out windows leaked into pretraining")
 
-        control = Model.init(config.model, table, seed=seed + 104729) \
-            if config.run_control else None
-        if control is not None:
-            control.features = pretrained.features
-
-        variants = [("", pretrained)] + ([("_control", control)] if control else [])
+        variants = [("", pretrained)]
+        if config.run_control:
+            variants.append(("_control", control_model(pretrained, seed)))
         grid_run(report, variants, held_out, splits, config, seed, say)
     return report
 

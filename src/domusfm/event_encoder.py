@@ -166,10 +166,6 @@ class EventBatch:
         return self.sec_ids.shape
 
 
-def empty_masks(b: int, n: int) -> np.ndarray:
-    return np.zeros((b, n, N_SLOTS))
-
-
 def gather_batch(blocks: Sequence[tuple[StreamFeatures, object]], shape: tuple[int, int],
                  masks: Optional[np.ndarray] = None) -> EventBatch:
     """Concatenate rows of feature blocks into one (B, N) batch.
@@ -190,7 +186,7 @@ def gather_batch(blocks: Sequence[tuple[StreamFeatures, object]], shape: tuple[i
         sec_ids=gather(lambda f: f.sec_ids),
         status_ids=gather(lambda f: f.status_ids),
         slot_mask=np.asarray(masks, dtype=np.float64) if masks is not None
-        else empty_masks(*shape),
+        else np.zeros(shape + (N_SLOTS,)),
     )
     status_masked = batch.slot_mask[:, :, 6] > 0.5
     batch.status_ids[status_masked] = STATUS_INDEX["MASK"]

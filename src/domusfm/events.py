@@ -95,7 +95,6 @@ class SemanticState:
 class CleanReport:
     removed_count: int
     removed_indices: tuple[int, ...] = ()
-    reordered_count: int = 0
 
 
 def clean_alternation(stream: EventStream) -> tuple[EventStream, CleanReport]:

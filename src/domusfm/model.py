@@ -76,12 +76,6 @@ class Model:
         self.features[name] = feats
         return feats
 
-    def set_frozen(self, group: str, frozen: bool):
-        self.groups[group].frozen = frozen
-
-    def trainable_groups(self) -> list[ParamGroup]:
-        return [g for g in self.groups.values() if not g.frozen]
-
     # -- forward ---------------------------------------------------------
 
     def batch(self, windows: Sequence[Window],

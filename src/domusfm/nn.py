@@ -1,8 +1,8 @@
 """Parameter containers, core layers, and the Adam optimizer.
 
 All layers are plain functions over :class:`~domusfm.autodiff.Tensor` values;
-parameters live in named :class:`ParamGroup` objects so that freezing and
-checkpointing operate on whole groups.
+parameters live in named :class:`ParamGroup` objects so that the optimizer and
+checkpoints operate on whole groups.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ class NumericError(RuntimeError):
 
 @dataclass
 class ParamGroup:
-    """Named set of parameters updated (or frozen) together."""
+    """Named set of parameters updated together."""
 
     name: str
     tensors: dict[str, Tensor] = field(default_factory=dict)
-    frozen: bool = False
 
     def add(self, name: str, data) -> Tensor:
         if name in self.tensors:
@@ -54,7 +53,7 @@ class ParamGroup:
             t.zero_grad()
 
     def copy(self) -> "ParamGroup":
-        g = ParamGroup(self.name, frozen=self.frozen)
+        g = ParamGroup(self.name)
         for name, t in self.tensors.items():
             g.tensors[name] = parameter(t.data.copy())
         return g

@@ -175,7 +175,6 @@ def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
 
     # phase 2: full-event masking; event encoder frozen, gradients reach only
     # the context encoder
-    model.set_frozen(EVENT_GROUP, True)
     context_group = model.groups[CONTEXT_GROUP]
     adam2 = init_adam([context_group], lr=config.lr)
 

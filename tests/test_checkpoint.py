@@ -24,7 +24,7 @@ def make_groups(seed=0):
     enc = ParamGroup("encoder")
     enc.add("w", rng.normal(size=(4, 3)).astype(np.float32))
     enc.add("b", rng.normal(size=(3,)).astype(np.float32))
-    head = ParamGroup("head", frozen=True)
+    head = ParamGroup("head")
     head.add("w", rng.normal(size=(3, 2)).astype(np.float32))
     return [enc, head]
 
@@ -39,16 +39,34 @@ class TestRoundtrip:
         save_checkpoint(str(p2), loaded, meta=meta)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_values_and_freeze_flags_survive(self, tmp_path):
+    def test_values_survive(self, tmp_path):
         groups = make_groups()
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), groups)
         loaded, _ = read_checkpoint(str(path))
         assert [g.name for g in loaded] == ["encoder", "head"]
-        assert loaded[1].frozen and not loaded[0].frozen
         for orig, back in zip(groups, loaded):
             for name in orig.tensors:
                 np.testing.assert_array_equal(orig[name].data, back[name].data)
+
+    def test_older_header_with_frozen_flags_loads(self, tmp_path):
+        # files from before the flag was dropped carry "frozen" per group
+        groups = make_groups(seed=3)
+        path, old = tmp_path / "m.ckpt", tmp_path / "old.ckpt"
+        save_checkpoint(str(path), groups, meta={"d": 3})
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        assert all("frozen" not in g for g in header["groups"])
+        for i, g in enumerate(header["groups"]):
+            g["frozen"] = bool(i)
+        raw = json.dumps(header, separators=(",", ":")).encode()
+        old.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+        dst = make_groups(seed=4)
+        assert load_into_groups(str(old), {g.name: g for g in dst}) == {"d": 3}
+        assert [g.state_bytes() for g in dst] == [g.state_bytes() for g in groups]
+        save_checkpoint(str(tmp_path / "again.ckpt"), dst, meta={"d": 3})
+        assert (tmp_path / "again.ckpt").read_bytes() == blob
 
     def test_header_lists_every_tensor_with_shape(self, tmp_path):
         import json
@@ -75,7 +93,6 @@ class TestLoadIntoModel:
         load_into_groups(str(path), {g.name: g for g in dst})
         for a, b in zip(src, dst):
             assert a.state_bytes() == b.state_bytes()
-            assert a.frozen == b.frozen
 
     def test_shape_mismatch_rejected_before_mutation(self, tmp_path):
         src = make_groups()
@@ -131,13 +148,13 @@ class TestLoadIntoModel:
 
     @pytest.mark.parametrize("header", [
         {"format": 1},
-        {"format": 1, "groups": [{"name": "encoder", "tensors": []}]},
-        {"format": 1, "groups": [{"name": "encoder", "frozen": False,
+        {"format": 1, "groups": [{"name": "encoder"}]},
+        {"format": 1, "groups": [{"name": "encoder",
                                   "tensors": [{"name": "w", "dtype": "f4"}]}]},
         [1, 2],
         {"format": 1, "groups": [], "meta": [1]},
         {"format": 1, "groups": [], "meta": {"config": 5}},
-    ], ids=["no_groups", "no_frozen", "no_shape", "not_an_object", "meta_not_an_object",
+    ], ids=["no_groups", "no_tensors", "no_shape", "not_an_object", "meta_not_an_object",
             "config_not_an_object"])
     def test_header_missing_field_rejected(self, tmp_path, header):
         raw = json.dumps(header).encode()

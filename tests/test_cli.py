@@ -251,6 +251,19 @@ class TestEvalCommands:
         assert main(argv) == EXIT_OK
         assert (trained / "out" / "eval_metrics.csv").read_text() == first
 
+    def test_table_read_once_for_every_seed(self, trained, monkeypatch):
+        # the controls of all seeds share the model's table; none re-reads it
+        import domusfm.cli as cli
+
+        reads = []
+        monkeypatch.setattr(cli, "read_table", lambda path: reads.append(path))
+        argv = ["eval", "--config", "run.cfg",
+                "--set", "paths.datasets=home1.csv,home2.csv,home3.csv",
+                "--set", "paths.embedding_table=t.tsv", "--set", "protocol.seeds=3,4",
+                "--checkpoint", "out/pretrained.ckpt", "--held-out", "home3"]
+        assert main(argv) == EXIT_OK
+        assert reads == ["t.tsv"]
+
     def test_finetune_has_no_control(self, trained):
         argv = ["finetune", "--config", "run.cfg",
                 "--set", "paths.datasets=home1.csv,home2.csv,home3.csv",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_config, toy_window
+from domusfm.autodiff import Tensor
 from domusfm.downstream import (
     EventMultiset,
     FinetuneSettings,
@@ -85,6 +86,13 @@ class TestAdlPredict:
         with pytest.raises(ValueError):
             init_adl_head(["only"], d=4)
 
+    @pytest.mark.parametrize("shape", [(5, 8), (1, 8), ()])
+    def test_only_one_row_accepted(self, shape):
+        # a (5, 8) batch used to return the class of its row 0 alone
+        head = init_adl_head(["a", "b", "c"], d=8, seed=0)
+        with pytest.raises(ValueError, match=r"one pooled row of shape \(d,\)"):
+            adl_predict(np.ones(shape, dtype=np.float32), head)
+
 
 class TestLargestRemainder:
     def test_hand_example(self):
@@ -136,6 +144,12 @@ class TestNextKPredict:
         head.params["counts.b"].data[:] = -60.0  # softplus ~ 0
         ms = nextk_predict(np.zeros(3, dtype=np.float32), head, 7)
         assert ms.total == 7
+
+    @pytest.mark.parametrize("shape", [(5, 4), (1, 4), ()])
+    def test_only_one_row_accepted(self, shape):
+        head = init_nextk_head([("A", ON), ("A", OFF)], d=4, seed=0)
+        with pytest.raises(ValueError, match=r"one pooled row of shape \(d,\)"):
+            nextk_predict(Tensor(np.ones(shape)), head, 3)
 
 
 class TestNextKTarget:
@@ -193,6 +207,26 @@ class TestFinetune:
         for name, blob in before.items():
             assert model.groups[name].state_bytes() == blob
 
+    @pytest.mark.parametrize("strategy, expected", [
+        (FinetuneStrategy.HEAD_ONLY, [10, 10, 4]), (FinetuneStrategy.FULL, [10, 10, 4] * 3)])
+    def test_backbone_passes(self, monkeypatch, strategy, expected):
+        # head-only pools every training window once, before the first epoch,
+        # in chunks of batch_size; full runs the backbone on every step
+        model = Model.init(toy_config(d=16), fallback_table(16), seed=0)
+        items = build_separable_items(model)
+        calls = []
+        original = Model.window_tensors
+
+        def counting(self, windows):
+            calls.append(len(windows))
+            return original(self, windows)
+
+        monkeypatch.setattr(Model, "window_tensors", counting)
+        finetune(model, items, "adl",
+                 FinetuneSettings(strategy=strategy, epochs=3, batch_size=10, seed=0),
+                 classes=("cook", "sleep"))
+        assert calls == expected
+
     def test_full_strategy_moves_backbone(self):
         config = toy_config(d=16)
         model = Model.init(config, fallback_table(16), seed=2)
@@ -212,7 +246,6 @@ class TestFinetune:
             items = build_separable_items(model)
             from domusfm.downstream import adl_loss, init_adl_head
             from domusfm.evaluation import batched_pooled
-            from domusfm.autodiff import Tensor
 
             head = init_adl_head(("cook", "sleep"), config.d, seed=seed)
 
@@ -226,7 +259,7 @@ class TestFinetune:
             head = finetune(model, items, "adl",
                             FinetuneSettings(strategy=FinetuneStrategy.HEAD_ONLY,
                                              epochs=10, batch_size=8, seed=seed),
-                            head=head)
+                            classes=("cook", "sleep"))
             lasts.append(loss_now(head))
         assert np.mean(lasts) < np.mean(firsts)
 
@@ -248,6 +281,19 @@ class TestFinetune:
         with pytest.raises(ValueError, match="juggling"):
             finetune(model, items, "adl", FinetuneSettings(epochs=1),
                      classes=("cook", "sleep"))
+
+    @pytest.mark.parametrize("target, vocabulary, message", [
+        (None, (("mk", ON),), "needs a target multiset"),
+        (EventMultiset.from_dict({("mb", ON): 1}), (("mk", ON),), "not in head vocabulary"),
+        (EventMultiset.from_dict({("mk", ON): 1}), None, "needs the event-type vocabulary"),
+    ], ids=["no_target", "unknown_type", "no_vocabulary"])
+    def test_bad_nextk_targets_rejected(self, target, vocabulary, message):
+        model = Model.init(toy_config(d=16), fallback_table(16), seed=0)
+        items = [TrainItem(it.window, target=target)
+                 for it in build_separable_items(model)[:2]]
+        with pytest.raises(ValueError, match=message):
+            finetune(model, items, "nextk", FinetuneSettings(epochs=1),
+                     vocabulary=vocabulary)
 
     def test_unknown_task_rejected(self):
         model = Model.init(toy_config(), None, seed=0)

@@ -7,7 +7,7 @@ import pytest
 
 from domusfm.benchmark import home_spec, three_home_corpus
 from domusfm.downstream import FinetuneSettings, FinetuneStrategy
-from domusfm.evaluation import EvalProtocol, LodoConfig, lodo_run
+from domusfm.evaluation import EvalProtocol, LodoConfig, control_model, lodo_run
 from domusfm.event_encoder import ModelConfig
 from domusfm.ingest import generate_synthetic_corpus
 from domusfm.model import Model
@@ -71,6 +71,18 @@ class TestLodoRun:
         assert any(r.metric == "weighted_f1" for r in report.rows)
         assert all(r.task == "adl" and "_control" not in r.metric
                    for r in report.rows)
+
+
+class TestControlModel:
+    def test_fresh_weights_shared_features(self, corpus):
+        config = ModelConfig(d=16, heads=2, layers=1, n_window=10)
+        model = Model.init(config, seed=3)
+        model.add_stream_features(corpus[0].name, corpus[0].stream.events)
+        control = control_model(model, seed=3)
+        assert control.features is model.features
+        assert control.config == model.config and control.table is model.table
+        expected = Model.init(config, model.table, seed=3 + 104729)
+        assert control.state_bytes() == expected.state_bytes() != model.state_bytes()
 
 
 class TestModelPersistence:

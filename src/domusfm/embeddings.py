@@ -7,6 +7,7 @@ reproducible on any platform without model downloads.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,20 @@ class AttributeEmbeddingTable:
             if vec.shape != (self.d_text,):
                 raise ValueError(f"token {token!r}: vector length {vec.shape} != "
                                  f"({self.d_text},)")
+
+    def fingerprint(self) -> str:
+        """SHA-256 of what the table maps tokens to; the lookup cache is left out.
+
+        It hashes the provenance, ``d_text`` and the sorted tokens with their
+        float64 vectors, the reserved MASK/NULL rows included. A fallback
+        table holds only the reserved rows, so its provenance and ``d_text``
+        fix it.
+        """
+        digest = hashlib.sha256(f"{self.provenance}\n{self.d_text}\n".encode("utf-8"))
+        for token in sorted(self.vectors):
+            digest.update(token.encode("utf-8") + b"\n")
+            digest.update(np.asarray(self.vectors[token], dtype="<f8").tobytes())
+        return digest.hexdigest()
 
     def lookup(self, token: str) -> np.ndarray:
         key = canonical_token(token)

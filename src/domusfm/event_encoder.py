@@ -213,7 +213,9 @@ def build_batch(windows: Sequence[Window], features: dict[str, StreamFeatures],
                 masks: Optional[np.ndarray] = None) -> EventBatch:
     """Gather each window's slice of its stream's features into batch arrays.
 
-    ``features`` maps dataset name to its precomputed stream features.
+    This is the per-window reference path, with no production caller:
+    ``Model.event_rows`` encodes each distinct event once and must match it
+    bitwise. ``features`` maps dataset name to its precomputed stream features.
     ``masks`` is (B, N, 7) float/bool; slot 6 masks the status.
     """
     n = len(windows[0])

@@ -100,11 +100,9 @@ class CleanReport:
 def clean_alternation(stream: EventStream) -> tuple[EventStream, CleanReport]:
     """Drop events that repeat a sensor's current status (keep the first).
 
-    Idempotent; afterwards every sensor's statuses strictly alternate.
+    Idempotent; afterwards every sensor's statuses strictly alternate. An
+    ``EventStream`` is sorted by construction, so no order check runs here.
     """
-    for a, b in zip(stream.events, stream.events[1:]):
-        if b.timestamp <= a.timestamp:
-            raise ValueError("clean_alternation requires a sorted stream")
     last: dict[str, str] = {}
     kept_events: list[Event] = []
     kept_labels: list[Optional[str]] = []

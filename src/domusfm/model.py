@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, reshape, take_rows
+from .autodiff import Tensor, reshape, take_rows
 from .checkpoint import load_into_groups, save_checkpoint
 from .context_encoder import contextualize, init_context_encoder, pool_sequence
 from .embeddings import AttributeEmbeddingTable, fallback_table
@@ -80,6 +80,10 @@ class Model:
 
     def batch(self, windows: Sequence[Window],
               masks: Optional[np.ndarray] = None) -> EventBatch:
+        """Each window's own slice of its stream: the per-window reference path.
+
+        No production path calls it; ``event_rows`` must match it bitwise.
+        """
         return build_batch(windows, self.features, masks)
 
     def encode_events(self, batch: EventBatch) -> Tensor:
@@ -113,13 +117,16 @@ class Model:
         by_stream: dict[str, list[int]] = {}
         for i, w in enumerate(windows):
             by_stream.setdefault(w.dataset, []).append(i)
+        full = (1 << N_SLOTS) - 1
         for name, members in by_stream.items():
             spans = np.array([windows[i].start for i in members])[:, None] + np.arange(n)
+            feats = stream_features(self.features, name, int(spans.max()) + 1)
+            spans[bits[members] == full] = 0  # after the span check: one shared row
             keys, inverse = np.unique((spans << N_SLOTS) | bits[members],
                                       return_inverse=True)
             rows = keys >> N_SLOTS
-            blocks.append((stream_features(self.features, name, rows[-1] + 1), rows))
-            row_bits.append(keys & ((1 << N_SLOTS) - 1))
+            blocks.append((feats, rows))
+            row_bits.append(keys & full)
             index[members] = total + inverse.reshape(spans.shape)
             total += len(keys)
         # One (1, R) batch, or (R, 1) for one-event windows: either way BLAS runs
@@ -129,19 +136,6 @@ class Model:
         encoded = self.encode_events(
             gather_batch(blocks, shape, slot_mask.reshape(shape + (N_SLOTS,))))
         return take_rows(reshape(encoded, (total, self.config.d)), index)
-
-    def masked_event_row(self, window: Window) -> np.ndarray:
-        """h_e (d,) of a fully masked event, one constant row for every event.
-
-        Masking all seven slots puts each slot's learned mask vector in place of
-        the event's inputs. The whole ``window`` is encoded masked, not a single
-        event: a one-row batch would take numpy's matrix-vector path, whose
-        float32 sums differ in the last bits from the matrix-matrix path that
-        window batches take.
-        """
-        masks = np.ones((1, len(window), N_SLOTS))
-        with no_grad():
-            return self.encode_events(self.batch([window], masks)).data[0, 0]
 
     def contextualize(self, event_embeddings: Tensor) -> Tensor:
         """h_cxt rows (B, N, d) from the context encoder.
@@ -172,17 +166,18 @@ class Model:
             "d": cfg.d, "heads": cfg.heads, "layers": cfg.layers,
             "harmonics": cfg.harmonics, "seconds_buckets": cfg.seconds_buckets,
             "n_window": cfg.n_window, "context_enabled": cfg.context_enabled,
-            "d_text": cfg.text_dim(),
+            "d_text": cfg.text_dim(), "table_sha256": self.table.fingerprint(),
         }}
 
     def save(self, path: str):
         save_checkpoint(path, list(self.groups.values()), meta=self.meta())
 
     def load(self, path: str) -> dict:
-        """Load a checkpoint; it must match this model's architecture.
+        """Load a checkpoint; it must match this model's architecture and table.
 
         ``n_window`` and ``context_enabled`` are not compared: a checkpoint may
-        be evaluated on other window lengths and with the context ablation.
+        be evaluated on other window lengths and with the context ablation. A
+        header without ``table_sha256`` (an older file) is not compared on it.
         """
         arch = {k: v for k, v in self.meta()["config"].items()
                 if k not in ("n_window", "context_enabled")}

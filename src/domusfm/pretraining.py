@@ -1,14 +1,21 @@
 """Dual contrastive self-supervised pretraining.
 
-Phase 1 masks one attribute per selected event and trains the event encoder
-with InfoNCE over sequence embeddings (means of raw event embeddings).
-Phase 2 freezes the event encoder, masks whole events, and trains the context
-encoder on mean-pooled contextualized embeddings. A window and its masked
-augmentation form the positive pair; other windows in the batch are negatives.
+Both phases take the same step: draw a masked view of every window, encode
+anchors and views in one ``Model.event_rows`` call, score InfoNCE (a window
+and its view are the positive pair, other windows in the batch negatives),
+check the loss, backpropagate and step Adam over one parameter group. They
+differ in three things. Phase 1 masks one attribute per selected event,
+pools the raw event rows and trains the event encoder. Phase 2 masks whole
+events, keeps the event encoder off the tape, pools the contextualized rows
+and trains the context encoder.
+
+The augment functions, ``infonce`` and ``adam_step`` are looked up as module
+globals on every call, so instrumentation that rebinds them reaches the loop.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -115,17 +122,30 @@ class PretrainResult:
     seen_datasets: set[str]
 
 
-def phase1_loss(model: Model, windows: Sequence[Window], masks: np.ndarray,
-                config: PretrainConfig) -> Tensor:
-    """InfoNCE between windows and their attribute-masked views (``masks``, (B, N, 7)).
+def contrastive_loss(model: Model, windows: Sequence[Window], phase: int,
+                     config: PretrainConfig, rng: np.random.Generator) -> Tensor:
+    """InfoNCE between ``windows`` and their masked views, for pretraining ``phase``.
 
-    Both views go through one ``event_rows`` call, so an event the mask leaves
-    untouched is encoded once and shared by its anchor and its positive.
+    Anchors and views go through one ``event_rows`` call, so an event both
+    leave unmasked is encoded once. Phase 1 masks one attribute per selected
+    event and pools the raw event rows, which are taped for the event encoder.
+    Phase 2 masks whole events, keeps the event encoder off the tape and pools
+    each view after the context encoder.
     """
-    b = len(windows)
+    augment, p = ((augment_mask_attribute, config.p_event_select) if phase == 1
+                  else (augment_mask_event, config.p_event_mask))
+    masks = np.stack([augment(w, p, rng) for w in windows])
     views = np.concatenate([np.zeros_like(masks), masks])
-    pooled = model.event_rows(list(windows) * 2, views).mean(axis=1)
-    return infonce(pooled[:b], pooled[b:], config.temperature, config.symmetric)
+    b = len(windows)
+    with nullcontext() if phase == 1 else no_grad():
+        rows = model.event_rows(list(windows) * 2, views)
+    if phase == 1:
+        pooled = pool_sequence(rows)
+        anchors, positives = pooled[:b], pooled[b:]
+    else:
+        anchors, positives = (pool_sequence(model.contextualize(view))
+                              for view in (rows[:b], rows[b:]))
+    return infonce(anchors, positives, config.temperature, config.symmetric)
 
 
 def _batches(draws: list[tuple[str, int]], size: int):
@@ -137,13 +157,16 @@ def _batches(draws: list[tuple[str, int]], size: int):
 
 def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
              model: Model) -> PretrainResult:
-    """Run both contrastive phases; the event encoder is frozen after phase 1."""
+    """Run both contrastive phases: phase 1 trains the event encoder, phase 2
+    the context encoder, each with one Adam state over its own group."""
     sizes = {name: len(ws) for name, ws in dataset_windows.items()}
     quota = config.windows_per_dataset or max(sizes.values())
     history: list[LossRecord] = []
     seen: set[str] = set()
-
-    def run_phase(phase: int, epochs: int, step_fn):
+    for phase, epochs, group_name in ((1, config.epochs_phase1, EVENT_GROUP),
+                                      (2, config.epochs_phase2, CONTEXT_GROUP)):
+        groups = [model.groups[group_name]]
+        adam = init_adam(groups, lr=config.lr)
         plan = build_sampling_plan(sizes, quota, seed=config.seed * 31 + phase)
         for epoch in range(epochs):
             rng = np.random.default_rng([config.seed, phase, epoch])
@@ -151,48 +174,12 @@ def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
                                                   config.batch_size)):
                 windows = [dataset_windows[name][i] for name, i in chunk]
                 seen.update(name for name, _ in chunk)
-                loss = step_fn(windows, rng)
-                if not np.isfinite(loss):
+                loss = contrastive_loss(model, windows, phase, config, rng)
+                value = loss.item()
+                if not np.isfinite(value):
                     raise NumericError(f"non-finite pretraining loss at phase {phase}, "
                                        f"epoch {epoch}, step {step}")
-                history.append(LossRecord(phase, epoch, step, loss))
-
-    # phase 1: attribute-level masking; sequence embedding = mean of raw
-    # event embeddings, context encoder excluded
-    event_group = model.groups[EVENT_GROUP]
-    adam1 = init_adam([event_group], lr=config.lr)
-
-    def phase1_step(windows, rng):
-        masks = np.stack([augment_mask_attribute(w, config.p_event_select, rng)
-                          for w in windows])
-        loss = phase1_loss(model, windows, masks, config)
-        value = loss.item()
-        loss.backward()
-        adam_step([event_group], adam1)
-        return value
-
-    run_phase(1, config.epochs_phase1, phase1_step)
-
-    # phase 2: full-event masking; event encoder frozen, gradients reach only
-    # the context encoder
-    context_group = model.groups[CONTEXT_GROUP]
-    adam2 = init_adam([context_group], lr=config.lr)
-
-    def phase2_step(windows, rng):
-        masked = np.stack([augment_mask_event(w, config.p_event_mask, rng).all(axis=1)
-                           for w in windows])[:, :, None]
-        with no_grad():  # the event encoder is frozen: keep it off the tape
-            anchors_in = model.event_rows(windows)
-        # a fully masked event encodes to one constant row: no second encoder pass
-        positives_in = Tensor(np.where(masked, model.masked_event_row(windows[0]),
-                                       anchors_in.data))
-        anchors = pool_sequence(model.contextualize(anchors_in))
-        positives = pool_sequence(model.contextualize(positives_in))
-        loss = infonce(anchors, positives, config.temperature, config.symmetric)
-        value = loss.item()
-        loss.backward()
-        adam_step([context_group], adam2)
-        return value
-
-    run_phase(2, config.epochs_phase2, phase2_step)
+                loss.backward()
+                adam_step(groups, adam)
+                history.append(LossRecord(phase, epoch, step, value))
     return PretrainResult(model=model, history=history, seen_datasets=seen)

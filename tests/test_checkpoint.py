@@ -16,6 +16,9 @@ from domusfm.checkpoint import (
     read_checkpoint,
     save_checkpoint,
 )
+from domusfm.embeddings import fallback_table, load_table_tsv
+from domusfm.event_encoder import ModelConfig
+from domusfm.model import Model
 from domusfm.nn import ParamGroup
 
 
@@ -162,6 +165,70 @@ class TestLoadIntoModel:
         path.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw)
         with pytest.raises(CheckpointError, match="malformed checkpoint header"):
             read_checkpoint(str(path))
+
+
+TABLE_ROWS = {"stove": [0.5, -0.25, 1.0, 0.0], "kitchen": [0.1, 0.2, -0.3, 0.4],
+              "motion": [1.5, 0.0, -2.0, 0.25]}
+
+
+def table_tsv(rows) -> bytes:
+    return "\n".join(token + "\t" + "\t".join(repr(float(x)) for x in vec)
+                     for token, vec in rows.items()).encode()
+
+
+class TestTableFingerprint:
+    """A checkpoint is refused under another table of the same dimension."""
+
+    CONFIG = ModelConfig(d=8, heads=2, layers=1, harmonics=2, seconds_buckets=12)
+
+    def saved(self, tmp_path, table):
+        path = tmp_path / "m.ckpt"
+        model = Model.init(self.CONFIG, table, seed=1)
+        model.save(str(path))
+        return path, model
+
+    def test_other_table_of_same_dimension_refused(self, tmp_path):
+        path, _ = self.saved(tmp_path, load_table_tsv(table_tsv(TABLE_ROWS)))
+        changed = dict(TABLE_ROWS, stove=[0.5, -0.25, 1.0, 1e-9])
+        other = Model.init(self.CONFIG, load_table_tsv(table_tsv(changed)), seed=2)
+        before = other.state_bytes()
+        with pytest.raises(CheckpointError, match="checkpoint was trained with table_sha256="):
+            other.load(str(path))
+        assert other.state_bytes() == before
+
+    @pytest.mark.parametrize("saved_with", ["file", "fallback"])
+    def test_file_and_fallback_tables_differ(self, tmp_path, saved_with):
+        rows = {token: vec + vec for token, vec in TABLE_ROWS.items()}  # d_text 8 = d
+        tables = {"file": load_table_tsv(table_tsv(rows)), "fallback": fallback_table(8)}
+        path, _ = self.saved(tmp_path, tables[saved_with])
+        loaded_with = "fallback" if saved_with == "file" else "file"
+        other = Model.init(self.CONFIG, tables[loaded_with], seed=2)
+        assert other.config.text_dim() == 8
+        with pytest.raises(CheckpointError, match="table_sha256"):
+            other.load(str(path))
+
+    def test_same_table_loads_whatever_its_cache_and_row_order(self, tmp_path):
+        table = load_table_tsv(table_tsv(TABLE_ROWS))
+        table.lookup("unseen token")  # fills the lookup cache only
+        path, model = self.saved(tmp_path, table)
+        reordered = load_table_tsv(table_tsv(dict(reversed(TABLE_ROWS.items()))))
+        assert reordered.fingerprint() == table.fingerprint()
+        other = Model.init(self.CONFIG, reordered, seed=2)
+        other.load(str(path))
+        assert other.state_bytes() == model.state_bytes()
+
+    def test_header_without_the_key_loads(self, tmp_path):
+        path, model = self.saved(tmp_path, load_table_tsv(table_tsv(TABLE_ROWS)))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        del header["meta"]["config"]["table_sha256"]
+        raw = json.dumps(header, separators=(",", ":")).encode()
+        path.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+        changed = dict(TABLE_ROWS, motion=[0.0, 0.0, 0.0, 1.0])
+        other = Model.init(self.CONFIG, load_table_tsv(table_tsv(changed)), seed=2)
+        other.load(str(path))
+        assert other.state_bytes() == model.state_bytes()
 
 
 class TestAtomicWrite:

@@ -1,11 +1,16 @@
 """CLI surface: config parsing, command flows, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from domusfm.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
@@ -238,6 +243,26 @@ class TestPretrainCommand:
         assert (trained / "out" / "pretrained.ckpt").read_bytes() == first
 
 
+    def test_non_finite_loss_is_numeric_error(self, workspace):
+        # 1/temperature overflows float32: the loss is caught before backward.
+        # A subprocess, so stderr is what a shell sees (numpy's warnings included).
+        (workspace / "home.json").write_text(json.dumps(dict(HOME_SPEC, duration_days=3)))
+        for seed in (1, 2):
+            synth(workspace, f"home{seed}.csv", seed=seed)
+        argv = ["pretrain", "--set", "paths.datasets=home1.csv,home2.csv",
+                "--set", "model.d=16", "--set", "model.heads=2",
+                "--set", "segmentation.n=8", "--set", "segmentation.overlap=7",
+                "--set", "pretrain.temperature=1e-39", "--set", "paths.out_dir=out"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-m", "domusfm.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == EXIT_NUMERIC
+        assert result.stderr.strip().split("\n")[-1] == (
+            "numeric failure: non-finite pretraining loss at phase 1, epoch 0, step 0")
+        assert "Traceback" not in result.stderr
+        assert not (workspace / "out").exists()
+
+
 class TestEvalCommands:
     def test_eval_grid_and_determinism(self, trained):
         argv = ["eval", "--config", "run.cfg",
@@ -294,6 +319,21 @@ class TestEvalCommands:
         err = capsys.readouterr().err
         assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
         assert f"{key}=" in err
+        assert not (trained / "out" / "eval_metrics.csv").exists()
+
+    def test_other_table_of_same_dimension_is_data_error(self, trained, capsys):
+        # the checkpoint was pretrained on the fallback table, d_text = model.d = 16
+        rows = {"stove": [0.25] * 16, "kitchen": [-0.5] * 16}
+        (trained / "t.tsv").write_text("\n".join(
+            token + "\t" + "\t".join(map(str, vec)) for token, vec in rows.items()))
+        argv = ["eval", "--config", "run.cfg",
+                "--set", "paths.datasets=home1.csv,home2.csv,home3.csv",
+                "--set", "paths.embedding_table=t.tsv",
+                "--checkpoint", "out/pretrained.ckpt", "--held-out", "home3"]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
+        assert "table_sha256=" in err
         assert not (trained / "out" / "eval_metrics.csv").exists()
 
     def test_context_disabled_flag_plumbs_through(self, trained):

@@ -16,9 +16,7 @@ from domusfm.event_encoder import N_SLOTS
 from domusfm.model import Model
 from domusfm.pretraining import (
     PretrainConfig,
-    augment_mask_attribute,
-    augment_mask_event,
-    phase1_loss,
+    contrastive_loss,
     pretrain,
 )
 from domusfm.segmentation import Window, segment_events
@@ -119,6 +117,15 @@ class TestEventRows:
                                              rf"\({total} events\)"):
             getattr(model, path)(windows)
 
+    def test_fully_masked_window_past_stream_end_rejected(self, homes):
+        # fully masked events share one row per stream: the span is checked first
+        model = make_model(homes, 4)
+        name, total = homes[0].name, len(homes[0].stream)
+        windows = stride_one(homes, 4)[name][:2] + [Window(name, total - 3, 4)]
+        with pytest.raises(ValueError, match=rf"a window reaching event {total} runs "
+                                             rf"past the end of stream '{name}'"):
+            model.event_rows(windows, np.ones((3, 4, N_SLOTS)))
+
     def test_taped_path_still_reaches_event_encoder(self, homes):
         model = make_model(homes, 4)
         windows = stride_one(homes, 4)[homes[0].name][:6]
@@ -128,30 +135,52 @@ class TestEventRows:
 
 
 class TestFullyMaskedEvents:
-    def test_every_fully_masked_row_is_equal(self, homes):
+    def test_every_fully_masked_row_is_equal(self, homes, monkeypatch):
+        # a fully masked event has only mask vectors for inputs
         model = make_model(homes, 4)
         windows = mixed_windows(homes, 4)
         masks = np.ones((len(windows), 4, N_SLOTS))
         with no_grad():
-            rows = per_window_rows(model, windows, masks)
-        np.testing.assert_array_equal(rows, np.broadcast_to(rows[0, 0], rows.shape))
-        for window in windows[:3]:
-            np.testing.assert_array_equal(model.masked_event_row(window), rows[0, 0])
+            reference = per_window_rows(model, windows, masks)
+            encoded = []
+            original = model_module.encode_batch
+
+            def counting(batch, *args, **kwargs):
+                encoded.append(batch.shape[0] * batch.shape[1])
+                return original(batch, *args, **kwargs)
+
+            monkeypatch.setattr(model_module, "encode_batch", counting)
+            rows = model.event_rows(windows, masks).data
+        np.testing.assert_array_equal(reference,
+                                      np.broadcast_to(reference[0, 0], reference.shape))
+        np.testing.assert_array_equal(rows, reference)
+        assert encoded == [len(homes)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_phase2_positives_match_masked_encoding(self, homes, seed):
-        # the phase-2 positive view, built the way pretraining builds it
+    def test_phase2_positives_match_masked_encoding(self, homes, seed, monkeypatch):
+        # the anchors and masked views the phase-2 step encodes, against each
+        # window encoded on its own with the same flags
         model = make_model(homes, 4, seed=seed)
         windows = mixed_windows(homes, 4)
-        rng = np.random.default_rng(seed)
-        masks = np.stack([augment_mask_event(w, 0.3, rng) for w in windows])
-        assert masks.any() and not masks.all()
+        calls = []
+        original = Model.event_rows
+
+        def recording(self, wins, masks=None):
+            rows = original(self, wins, masks)
+            calls.append((wins, masks, rows.data))
+            return rows
+
+        monkeypatch.setattr(Model, "event_rows", recording)
+        config = PretrainConfig(p_event_mask=0.3)
+        contrastive_loss(model, windows, 2, config, np.random.default_rng(seed))
+        [(wins, views, rows)] = calls
+        assert wins == windows * 2
+        full = views.all(axis=2)
+        assert not views[:len(windows)].any() and full[len(windows):].any()
+        assert (full == views.any(axis=2)).all() and not full.all()
         with no_grad():
-            reference = per_window_rows(model, windows, masks.astype(np.float64))
-        positives = np.where(masks.all(axis=2)[:, :, None],
-                             model.masked_event_row(windows[0]),
-                             model.event_rows(windows).data)
-        np.testing.assert_array_equal(positives, reference)
+            reference = per_window_rows(model, wins, views.astype(np.float64))
+        np.testing.assert_array_equal(rows, reference)
 
 
 class TestEncodeOncePerEvent:
@@ -215,16 +244,24 @@ class TestGatheredGradients:
         windows = first[5:9] + [toy_window(model, n=n, seed=seed)] + second[2:4] + first[6:7]
         return model, windows
 
+    @staticmethod
+    def contrastive_error(homes, seed, phase):
+        # every call draws the same masks from a fresh generator
+        with precision("float64"):
+            model, windows = TestGatheredGradients.setup(homes, seed)
+            config = PretrainConfig(temperature=0.5, p_event_select=0.5, p_event_mask=0.3)
+            group = model.event_params if phase == 1 else model.context_params
+            return grad_check(lambda: contrastive_loss(model, windows, phase, config,
+                                                       np.random.default_rng(seed)),
+                              list(group.tensors.values()), seed=seed)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_phase1_infonce(self, homes, seed):
-        with precision("float64"):
-            model, windows = self.setup(homes, seed)
-            rng = np.random.default_rng(seed)
-            masks = np.stack([augment_mask_attribute(w, 0.5, rng) for w in windows])
-            config = PretrainConfig(temperature=0.5)
-            err = grad_check(lambda: phase1_loss(model, windows, masks, config),
-                             list(model.event_params.tensors.values()), seed=seed)
-        assert err < 1e-4
+        assert self.contrastive_error(homes, seed, phase=1) < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_phase2_infonce(self, homes, seed):
+        assert self.contrastive_error(homes, seed, phase=2) < 1e-4
 
     def test_full_adl_loss(self, homes):
         with precision("float64"):

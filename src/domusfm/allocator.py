@@ -12,9 +12,13 @@ once then grows the heap past the trim threshold and shrinks it again on
 every pass, or not, depending on what the process allocated before, down to
 the locale it started in.
 
-``pin_malloc_thresholds`` sets both thresholds once, to the highest values
-glibc's adaptive rule would reach: every temporary up to 32 MB stays on the
-heap, and the adaptation is off. A process started with either threshold set
+``pin_malloc_thresholds`` sets both thresholds once, so the adaptation is
+off. The mmap threshold is the highest value glibc's rule would reach: every
+temporary up to 32 MB stays on the heap. Trimming is off: the rule's ceiling
+of 64 MB lies inside the working set of one desk-size pretraining step, which
+frees 64 to 96 MB at the heap top. Whether a step then gave that back, and
+faulted in about 16 500 pages again in the next, depended on what happened to
+be allocated below it. A process started with either threshold set
 (``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or their
 ``GLIBC_TUNABLES`` names) keeps its own; other C libraries are left alone.
 
@@ -35,10 +39,9 @@ import numpy as np
 
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
-# the ceiling of glibc's adaptive mmap threshold on 64-bit, and twice that
-# for trimming, as its own rule would set them
+# the ceiling of glibc's adaptive mmap threshold on 64-bit; -1 turns trimming off
 MMAP_THRESHOLD = 32 * 1024 * 1024
-TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+TRIM_THRESHOLD = -1
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 

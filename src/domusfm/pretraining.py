@@ -142,7 +142,7 @@ def contrastive_loss(model: Model, windows: Sequence[Window], phase: int,
     if phase == 1:
         pooled = pool_sequence(rows)
         anchors, positives = pooled[:b], pooled[b:]
-    else:
+    else:  # one context pass per view keeps the float order of the gradient sums
         anchors, positives = (pool_sequence(model.contextualize(view))
                               for view in (rows[:b], rows[b:]))
     return infonce(anchors, positives, config.temperature, config.symmetric)

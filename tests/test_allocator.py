@@ -14,15 +14,15 @@ pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="mallopt thresholds are glibc's")
 
-# Four live 2 MB blocks per pass, as a forward pass holds several activations
-# at once; prints the page faults of 20 passes after a first round of 20.
+# Live blocks per pass (by default four of 2 MB, as a forward pass holds several
+# activations at once); prints the page faults of 20 passes after a first round of 20.
 CHURN = """
 import resource, numpy as np
 {prelude}
 def faults():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(20):
-        live = [np.ones(1 << 18) for _ in range(4)]
+        live = [np.ones({words}) for _ in range({blocks})]
         del live
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 faults()
@@ -44,8 +44,16 @@ def run(code: str, **env_extra) -> str:
 def test_repeated_temporaries_do_not_fault(locale):
     # under glibc's own rule each pass grows the heap past the trim threshold
     # and gives it back: about 2 000 faults a pass, whatever the locale
-    faults = int(run(CHURN.format(prelude="import domusfm"), LC_CTYPE=locale))
+    faults = int(run(CHURN.format(prelude="import domusfm", words=1 << 18, blocks=4),
+                     LC_CTYPE=locale))
     assert faults < 512, f"{faults} page faults in 20 passes over 8 MB"
+
+
+def test_pass_above_64_mb_keeps_its_pages():
+    # five 16 MB blocks stay on the heap; a pretraining step frees 64 to 96 MB
+    # at the heap top, and a 64 MB trim threshold gave it back every pass
+    faults = int(run(CHURN.format(prelude="import domusfm", words=1 << 21, blocks=5)))
+    assert faults < 512, f"{faults} page faults in 20 passes over 80 MB"
 
 
 def test_thresholds_set_by_the_user_are_kept():

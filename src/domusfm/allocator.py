@@ -13,12 +13,11 @@ every pass, or not, depending on what the process allocated before, down to
 the locale it started in.
 
 ``pin_malloc_thresholds`` sets both thresholds once, so the adaptation is
-off. The mmap threshold is the highest value glibc's rule would reach: every
-temporary up to 32 MB stays on the heap. Trimming is off: the rule's ceiling
-of 64 MB lies inside the working set of one desk-size pretraining step, which
-frees 64 to 96 MB at the heap top. Whether a step then gave that back, and
-faulted in about 16 500 pages again in the next, depended on what happened to
-be allocated below it. A process started with either threshold set
+off: every temporary up to 32 MB (the rule's highest mmap threshold) stays on
+the heap, and the heap is never trimmed. One desk-size pretraining step frees
+64 to 96 MB at the heap top, past the rule's 64 MB trim ceiling, so it gave
+those pages back and faulted them in again every step, or not, depending on
+what lay below them. A process started with either threshold set
 (``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or their
 ``GLIBC_TUNABLES`` names) keeps its own; other C libraries are left alone.
 

@@ -87,12 +87,10 @@ class AttributeEmbeddingTable:
                                  f"({self.d_text},)")
 
     def fingerprint(self) -> str:
-        """SHA-256 of what the table maps tokens to; the lookup cache is left out.
+        """SHA-256 of the provenance, ``d_text`` and sorted tokens with float64 vectors.
 
-        It hashes the provenance, ``d_text`` and the sorted tokens with their
-        float64 vectors, the reserved MASK/NULL rows included. A fallback
-        table holds only the reserved rows, so its provenance and ``d_text``
-        fix it.
+        The reserved MASK/NULL rows are included and the lookup cache is not, so
+        a fallback table is fixed by its provenance and ``d_text``.
         """
         digest = hashlib.sha256(f"{self.provenance}\n{self.d_text}\n".encode("utf-8"))
         for token in sorted(self.vectors):

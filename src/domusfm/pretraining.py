@@ -124,13 +124,10 @@ class PretrainResult:
 
 def contrastive_loss(model: Model, windows: Sequence[Window], phase: int,
                      config: PretrainConfig, rng: np.random.Generator) -> Tensor:
-    """InfoNCE between ``windows`` and their masked views, for pretraining ``phase``.
+    """InfoNCE between ``windows`` and their masked views in pretraining ``phase``.
 
     Anchors and views go through one ``event_rows`` call, so an event both
-    leave unmasked is encoded once. Phase 1 masks one attribute per selected
-    event and pools the raw event rows, which are taped for the event encoder.
-    Phase 2 masks whole events, keeps the event encoder off the tape and pools
-    each view after the context encoder.
+    leave unmasked is encoded once; the module docstring says how phases differ.
     """
     augment, p = ((augment_mask_attribute, config.p_event_select) if phase == 1
                   else (augment_mask_event, config.p_event_mask))
@@ -157,8 +154,7 @@ def _batches(draws: list[tuple[str, int]], size: int):
 
 def pretrain(dataset_windows: dict[str, list[Window]], config: PretrainConfig,
              model: Model) -> PretrainResult:
-    """Run both contrastive phases: phase 1 trains the event encoder, phase 2
-    the context encoder, each with one Adam state over its own group."""
+    """Run both contrastive phases, each with one Adam state over the group it trains."""
     sizes = {name: len(ws) for name, ws in dataset_windows.items()}
     quota = config.windows_per_dataset or max(sizes.values())
     history: list[LossRecord] = []

@@ -19,9 +19,11 @@ import argparse
 import json
 import os
 import sys
+from collections import defaultdict
+from dataclasses import fields, replace
 
 from .checkpoint import CheckpointError, atomic_write
-from .downstream import FinetuneSettings, FinetuneStrategy
+from .downstream import FinetuneSettings
 from .embeddings import load_table_tsv
 from .evaluation import (EvalProtocol, LodoConfig, MetricReport, control_model, grid_run,
                          kfold_splits)
@@ -40,7 +42,7 @@ from .ingest import (
 from .model import Model
 from .nn import NumericError
 from .pretraining import PretrainConfig, loss_history_csv, pretrain
-from .segmentation import check_overlap, segment_events
+from .segmentation import segment_events
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,35 +54,48 @@ class UsageError(ValueError):
     pass
 
 
+# Each config key that sets one dataclass field, which gives the key its default
+# and checks its value. ``seed`` also seeds fine-tuning and ``Model.init``.
+FIELDS: dict[str, tuple[type, str]] = {
+    "seed": (PretrainConfig, "seed"),
+    "model.d": (ModelConfig, "d"),
+    "model.heads": (ModelConfig, "heads"),
+    "model.layers": (ModelConfig, "layers"),
+    "model.harmonics": (ModelConfig, "harmonics"),
+    "model.seconds_buckets": (ModelConfig, "seconds_buckets"),
+    "model.context_enabled": (ModelConfig, "context_enabled"),
+    "segmentation.n": (ModelConfig, "n_window"),
+    "segmentation.overlap": (LodoConfig, "overlap"),
+    "pretrain.p_event_select": (PretrainConfig, "p_event_select"),
+    "pretrain.p_event_mask": (PretrainConfig, "p_event_mask"),
+    "pretrain.temperature": (PretrainConfig, "temperature"),
+    "pretrain.batch_size": (PretrainConfig, "batch_size"),
+    "pretrain.epochs_phase1": (PretrainConfig, "epochs_phase1"),
+    "pretrain.epochs_phase2": (PretrainConfig, "epochs_phase2"),
+    "pretrain.lr": (PretrainConfig, "lr"),
+    "pretrain.windows_per_dataset": (PretrainConfig, "windows_per_dataset"),
+    "pretrain.symmetric": (PretrainConfig, "symmetric"),
+    "finetune.strategy": (FinetuneSettings, "strategy"),
+    "finetune.epochs": (FinetuneSettings, "epochs"),
+    "finetune.batch_size": (FinetuneSettings, "batch_size"),
+    "finetune.lr": (FinetuneSettings, "lr"),
+    "finetune.count_loss_weight": (FinetuneSettings, "count_loss_weight"),
+    "protocol.pcts": (EvalProtocol, "train_pcts"),
+    "protocol.folds": (EvalProtocol, "folds"),
+    "protocol.k": (EvalProtocol, "k_values"),
+    "protocol.seeds": (EvalProtocol, "seeds"),
+}
+
+
+def _field_default(cls: type, name: str):
+    default = next(f.default for f in fields(cls) if f.name == name)
+    return list(default) if isinstance(default, tuple) else default
+
+
+# The keys that set no dataclass field come last.
 DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "model.d": 64,
-    "model.heads": 4,
-    "model.layers": 2,
-    "model.harmonics": 4,
-    "model.seconds_buckets": 60,
-    "model.context_enabled": True,
-    "segmentation.n": 30,
-    "segmentation.overlap": 29,
-    "pretrain.p_event_select": 0.3,
-    "pretrain.p_event_mask": 0.15,
-    "pretrain.temperature": 0.1,
-    "pretrain.batch_size": 64,
-    "pretrain.epochs_phase1": 3,
-    "pretrain.epochs_phase2": 3,
-    "pretrain.lr": 1e-3,
-    "pretrain.windows_per_dataset": 0,  # 0: size of the largest dataset
-    "pretrain.symmetric": True,
-    "finetune.strategy": "full",
-    "finetune.epochs": 10,
-    "finetune.batch_size": 64,
-    "finetune.lr": 1e-3,
-    "finetune.count_loss_weight": 1.0,
+    **{key: _field_default(cls, name) for key, (cls, name) in FIELDS.items()},
     "protocol.held_out": "",
-    "protocol.pcts": [5.0, 10.0, 15.0, 30.0],
-    "protocol.folds": 5,
-    "protocol.k": [10, 30],
-    "protocol.seeds": [0],
     "paths.datasets": [],
     "paths.embedding_table": "",
     "paths.out_dir": "out",
@@ -144,10 +159,16 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if key not in DEFAULTS:
             raise UsageError(f"--set: unknown config key {key!r}")
         config[key] = _coerce(key, raw)
-    env_seed = os.environ.get("DOMUS_SEED")
-    if env_seed is not None:
-        config["seed"] = _coerce("seed", env_seed)
+    seed = env_seed()
+    if seed is not None:
+        config["seed"] = seed
     return config
+
+
+def env_seed() -> int | None:
+    """The seed in ``DOMUS_SEED``, which overrides any other, or None if unset."""
+    raw = os.environ.get("DOMUS_SEED")
+    return None if raw is None else _coerce("seed", raw)
 
 
 # -- config -> objects ---------------------------------------------------------
@@ -156,60 +177,23 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 def command_config(config: dict, held_out: str = "") -> LodoConfig:
     """Every config object a command uses, built before any file is read.
 
-    A value that the config dataclasses or the segmenter reject is a usage
-    error, like a value of the wrong type.
+    A value that a config dataclass rejects is a usage error, like a value of
+    the wrong type.
     """
+    kwargs: dict[type, dict] = defaultdict(dict)
+    for key, (cls, name) in FIELDS.items():
+        value = config[key]
+        kwargs[cls][name] = tuple(value) if isinstance(value, list) else value
+    kwargs[EvalProtocol]["held_out"] = held_out
+    kwargs[FinetuneSettings]["seed"] = config["seed"]
     try:
-        check_overlap(config["segmentation.n"], config["segmentation.overlap"])
-        return LodoConfig(
-            model=ModelConfig(
-                d=config["model.d"], heads=config["model.heads"],
-                layers=config["model.layers"], harmonics=config["model.harmonics"],
-                seconds_buckets=config["model.seconds_buckets"],
-                n_window=config["segmentation.n"],
-                context_enabled=config["model.context_enabled"],
-            ),
-            protocol=EvalProtocol(
-                held_out=held_out,
-                train_pcts=tuple(config["protocol.pcts"]),
-                folds=config["protocol.folds"],
-                k_values=tuple(config["protocol.k"]),
-                seeds=tuple(config["protocol.seeds"]),
-            ),
-            pretrain=PretrainConfig(
-                p_event_select=config["pretrain.p_event_select"],
-                p_event_mask=config["pretrain.p_event_mask"],
-                temperature=config["pretrain.temperature"],
-                batch_size=config["pretrain.batch_size"],
-                epochs_phase1=config["pretrain.epochs_phase1"],
-                epochs_phase2=config["pretrain.epochs_phase2"],
-                lr=config["pretrain.lr"],
-                windows_per_dataset=config["pretrain.windows_per_dataset"] or None,
-                symmetric=config["pretrain.symmetric"],
-                seed=config["seed"],
-            ),
-            finetune=finetune_settings(config),
-            overlap=config["segmentation.overlap"],
-        )
+        return LodoConfig(model=ModelConfig(**kwargs[ModelConfig]),
+                          protocol=EvalProtocol(**kwargs[EvalProtocol]),
+                          pretrain=PretrainConfig(**kwargs[PretrainConfig]),
+                          finetune=FinetuneSettings(**kwargs[FinetuneSettings]),
+                          **kwargs[LodoConfig])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def finetune_settings(config: dict) -> FinetuneSettings:
-    try:
-        strategy = FinetuneStrategy(config["finetune.strategy"])
-    except ValueError:
-        choices = ", ".join(s.value for s in FinetuneStrategy)
-        raise ValueError(f"finetune.strategy: expected one of {choices}, "
-                         f"got {config['finetune.strategy']!r}") from None
-    return FinetuneSettings(
-        strategy=strategy,
-        epochs=config["finetune.epochs"],
-        batch_size=config["finetune.batch_size"],
-        lr=config["finetune.lr"],
-        count_loss_weight=config["finetune.count_loss_weight"],
-        seed=config["seed"],
-    )
 
 
 def load_datasets(config: dict) -> list[Dataset]:
@@ -279,9 +263,8 @@ def home_spec_from_json(blob: bytes) -> SyntheticHomeSpec:
 
 
 def cmd_synth(args) -> int:
-    env_seed = os.environ.get("DOMUS_SEED")
-    env_seed = None if env_seed is None else _coerce("seed", env_seed)
-    seed = args.seed if args.seed is not None else env_seed
+    env = env_seed()  # a malformed DOMUS_SEED is an error even under --seed
+    seed = env if args.seed is None else args.seed
     try:
         with open(args.spec, "rb") as fh:
             spec = home_spec_from_json(fh.read())
@@ -289,7 +272,7 @@ def cmd_synth(args) -> int:
         print(f"error: cannot read spec {args.spec!r}: {exc}", file=sys.stderr)
         return EXIT_DATA
     if seed is not None:
-        spec = SyntheticHomeSpec(**{**spec.__dict__, "seed": seed})
+        spec = replace(spec, seed=seed)
     dataset = generate_synthetic_corpus(spec)
     atomic_write(args.out, [write_event_csv(dataset)])
     print(f"wrote {args.out}: {len(dataset.stream)} events, "

@@ -8,6 +8,7 @@ k by largest-remainder apportionment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -188,10 +189,19 @@ class FinetuneSettings:
     seed: int = 0
 
     def __post_init__(self):
+        try:
+            self.strategy = FinetuneStrategy(self.strategy)
+        except ValueError:
+            choices = ", ".join(s.value for s in FinetuneStrategy)
+            raise ValueError(f"strategy: expected one of {choices}, "
+                             f"got {self.strategy!r}") from None
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError(f"need epochs >= 0 and batch_size >= 1, got "
                              f"epochs={self.epochs}, batch_size={self.batch_size}")
         check_lr(self.lr)
+        if not (math.isfinite(self.count_loss_weight) and self.count_loss_weight >= 0.0):
+            raise ValueError(f"count_loss_weight must be a finite number >= 0, "
+                             f"got {self.count_loss_weight}")
 
 
 @dataclass

@@ -7,7 +7,7 @@ window overlap cannot leak test events into training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,13 +28,13 @@ from .event_encoder import ModelConfig
 from .ingest import Dataset
 from .model import Model
 from .pretraining import PretrainConfig, pretrain
-from .segmentation import Window, segment_events
+from .segmentation import Window, check_overlap, segment_events
 
 
 @dataclass(frozen=True)
 class EvalProtocol:
     held_out: str
-    train_pcts: tuple = (5, 10, 15, 30)
+    train_pcts: tuple = (5.0, 10.0, 15.0, 30.0)
     folds: int = 5
     k_values: tuple = (10, 30)
     seeds: tuple = (0,)
@@ -257,6 +257,9 @@ class LodoConfig:
     overlap: int = 29
     run_control: bool = True
 
+    def __post_init__(self):
+        check_overlap(self.model.n_window, self.overlap)
+
 
 def lodo_run(datasets: Sequence[Dataset], config: LodoConfig,
              table=None, progress: Optional[Callable[[str], None]] = None) -> MetricReport:
@@ -291,8 +294,7 @@ def lodo_run(datasets: Sequence[Dataset], config: LodoConfig,
         for ds in datasets:
             pretrained.add_stream_features(ds.name, ds.stream.events)
         say(f"seed {seed}: pretraining on {sorted(pretrain_windows)}")
-        pre_cfg = PretrainConfig(**{**config.pretrain.__dict__, "seed": seed})
-        result = pretrain(pretrain_windows, pre_cfg, pretrained)
+        result = pretrain(pretrain_windows, replace(config.pretrain, seed=seed), pretrained)
         if protocol.held_out in result.seen_datasets:
             raise AssertionError("held-out windows leaked into pretraining")
 
@@ -319,8 +321,7 @@ def _run_fold(report, backbone, held_out, train_w, test_w, pct, fold, seed,
               suffix, config, say):
     protocol = config.protocol
     classes = held_out.activity_set
-    settings = FinetuneSettings(**{**config.finetune.__dict__,
-                                   "seed": seed * 1009 + fold})
+    settings = replace(config.finetune, seed=seed * 1009 + fold)
     sub_seed = seed * 9176 + fold * 31 + int(pct)
 
     train_adl = eligible_adl_items(train_w, classes)

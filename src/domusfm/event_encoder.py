@@ -42,14 +42,13 @@ class ModelConfig:
     d_text: Optional[int] = None  # None: follow the table (fallback tables use d)
 
     def __post_init__(self):
+        for name in ("d", "heads", "layers", "harmonics", "seconds_buckets", "n_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.harmonics < 1:
-            raise ValueError("harmonics must be >= 1")
         if 3600 % self.seconds_buckets != 0:
             raise ValueError(f"seconds_buckets={self.seconds_buckets} must divide 3600")
-        if self.layers < 1 or self.n_window < 1:
-            raise ValueError("layers and n_window must be positive")
 
     def text_dim(self) -> int:
         return self.d_text if self.d_text is not None else self.d

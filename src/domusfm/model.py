@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -161,13 +162,8 @@ class Model:
     # -- persistence -----------------------------------------------------
 
     def meta(self) -> dict:
-        cfg = self.config
-        return {"config": {
-            "d": cfg.d, "heads": cfg.heads, "layers": cfg.layers,
-            "harmonics": cfg.harmonics, "seconds_buckets": cfg.seconds_buckets,
-            "n_window": cfg.n_window, "context_enabled": cfg.context_enabled,
-            "d_text": cfg.text_dim(), "table_sha256": self.table.fingerprint(),
-        }}
+        return {"config": {**asdict(self.config), "d_text": self.config.text_dim(),
+                           "table_sha256": self.table.fingerprint()}}
 
     def save(self, path: str):
         save_checkpoint(path, list(self.groups.values()), meta=self.meta())

@@ -15,9 +15,10 @@ globals on every call, so instrumentation that rebinds them reaches the loop.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from .context_encoder import pool_sequence
 from .segmentation import Window
 
 
+# The smallest temperature whose reciprocal, the InfoNCE logit scale, is a
+# finite float32. Computed in float64, so checking it casts nothing.
+MIN_TEMPERATURE = 1.0 / float(np.finfo(np.float32).max)
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     p_event_select: float = 0.3   # phase 1: P(event gets one masked attribute)
@@ -39,7 +45,7 @@ class PretrainConfig:
     epochs_phase1: int = 3
     epochs_phase2: int = 3
     lr: float = 1e-3
-    windows_per_dataset: Optional[int] = None  # None: size of the largest dataset
+    windows_per_dataset: int = 0  # 0: size of the largest dataset
     symmetric: bool = True
     seed: int = 0
 
@@ -48,14 +54,15 @@ class PretrainConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature >= MIN_TEMPERATURE):
+            raise ValueError(f"temperature must be a finite number >= {MIN_TEMPERATURE:.3g}, "
+                             f"got {self.temperature}")
         if self.batch_size < 2:
             raise ValueError("contrastive batches need at least 2 windows")
         if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
             raise ValueError("epoch counts must be nonnegative")
-        if self.windows_per_dataset is not None and self.windows_per_dataset < 1:
-            raise ValueError("windows_per_dataset must be positive")
+        if self.windows_per_dataset < 0:
+            raise ValueError(f"windows_per_dataset must be >= 0, got {self.windows_per_dataset}")
         check_lr(self.lr)
 
 

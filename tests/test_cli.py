@@ -14,10 +14,15 @@ from domusfm.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    command_config,
     home_spec_from_json,
     load_config,
     main,
 )
+from domusfm.downstream import FinetuneSettings
+from domusfm.evaluation import EvalProtocol, LodoConfig
+from domusfm.event_encoder import ModelConfig
+from domusfm.pretraining import PretrainConfig
 
 HOME_SPEC = {
     "name": "demo",
@@ -112,6 +117,19 @@ class TestConfig:
         config = load_config(None, ["model.context_enabled=false"])
         assert config["model.context_enabled"] is False
 
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert command_config(load_config(None, []), "h") == LodoConfig(
+            model=ModelConfig(), protocol=EvalProtocol(held_out="h"),
+            pretrain=PretrainConfig(), finetune=FinetuneSettings())
+
+    def test_readme_example_config_loads(self, workspace):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        (workspace / "readme.cfg").write_text(block)
+        config = load_config("readme.cfg", [])
+        assert config["paths.datasets"] == ["home1.csv", "home2.csv", "home3.csv"]
+        command_config(config, "home3")
+
 
 class TestBadConfigValues:
     """A value the config rejects is a usage error, found before any file is read."""
@@ -130,6 +148,14 @@ class TestBadConfigValues:
         ("finetune.lr=-1", "lr must be a finite number > 0, got -1.0"),
         ("pretrain.lr=0", "lr must be a finite number > 0, got 0.0"),
         ("pretrain.lr=nan", "got nan"),
+        ("model.heads=0", "heads must be >= 1, got 0"),
+        ("model.seconds_buckets=0", "seconds_buckets must be >= 1, got 0"),
+        ("model.d=0", "d must be >= 1, got 0"),
+        ("model.d=-8", "d must be >= 1, got -8"),
+        ("pretrain.temperature=nan", "temperature"),
+        ("pretrain.temperature=1e-39", "got 1e-39"),
+        ("finetune.count_loss_weight=-1", "count_loss_weight"),
+        ("finetune.count_loss_weight=nan", "count_loss_weight"),
     ])
     def test_is_usage_error(self, workspace, capsys, command, override, needle):
         # the dataset and checkpoint do not exist: reading them would exit 2
@@ -244,7 +270,8 @@ class TestPretrainCommand:
 
 
     def test_non_finite_loss_is_numeric_error(self, workspace):
-        # 1/temperature overflows float32: the loss is caught before backward.
+        # the first step's update overflows the weights: the next loss is caught
+        # before backward.
         # A subprocess, so stderr is what a shell sees (numpy's warnings included).
         (workspace / "home.json").write_text(json.dumps(dict(HOME_SPEC, duration_days=3)))
         for seed in (1, 2):
@@ -252,13 +279,13 @@ class TestPretrainCommand:
         argv = ["pretrain", "--set", "paths.datasets=home1.csv,home2.csv",
                 "--set", "model.d=16", "--set", "model.heads=2",
                 "--set", "segmentation.n=8", "--set", "segmentation.overlap=7",
-                "--set", "pretrain.temperature=1e-39", "--set", "paths.out_dir=out"]
+                "--set", "pretrain.lr=1e30", "--set", "paths.out_dir=out"]
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         result = subprocess.run([sys.executable, "-m", "domusfm.cli", *argv], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == EXIT_NUMERIC
         assert result.stderr.strip().split("\n")[-1] == (
-            "numeric failure: non-finite pretraining loss at phase 1, epoch 0, step 0")
+            "numeric failure: non-finite pretraining loss at phase 1, epoch 0, step 1")
         assert "Traceback" not in result.stderr
         assert not (workspace / "out").exists()
 

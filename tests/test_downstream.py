@@ -268,6 +268,16 @@ class TestFinetune:
         with pytest.raises(ValueError, match="lr must be a finite number > 0"):
             FinetuneSettings(lr=lr)
 
+    def test_strategy_is_checked_and_converted(self):
+        assert FinetuneSettings(strategy="head_only").strategy is FinetuneStrategy.HEAD_ONLY
+        with pytest.raises(ValueError, match="expected one of head_only, full, got 'head-only'"):
+            FinetuneSettings(strategy="head-only")
+
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_count_loss_weight_must_be_finite_and_nonnegative(self, weight):
+        with pytest.raises(ValueError, match="count_loss_weight"):
+            FinetuneSettings(count_loss_weight=weight)
+
     def test_empty_training_set_rejected(self):
         model = Model.init(toy_config(), None, seed=0)
         with pytest.raises(ValueError, match="empty"):

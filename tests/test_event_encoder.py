@@ -60,6 +60,9 @@ class TestModelConfig:
             ModelConfig(seconds_buckets=7)
         with pytest.raises(ValueError):
             ModelConfig(harmonics=0)
+        for field in ("d", "heads", "seconds_buckets"):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                ModelConfig(**{field: 0})
 
     def test_full_scale_defaults(self):
         cfg = ModelConfig.full_scale()

@@ -1,6 +1,7 @@
 """Augmentations, InfoNCE closed forms and gradients, the two-phase pretrain loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from domusfm.event_encoder import N_SLOTS
 from domusfm.ingest import ActivityScript, SyntheticHomeSpec, SyntheticSensor, Visit, generate_synthetic_corpus
 from domusfm.model import EVENT_GROUP, Model
 from domusfm.pretraining import (
+    MIN_TEMPERATURE,
     LossRecord,
     PretrainConfig,
     augment_mask_attribute,
@@ -249,6 +251,15 @@ class TestPretrain:
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="lr must be a finite number > 0"):
             PretrainConfig(lr=lr)
+
+    def test_temperature_reciprocal_must_fit_float32(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PretrainConfig(temperature=MIN_TEMPERATURE)
+            assert np.isfinite(np.float32(1.0 / MIN_TEMPERATURE))
+            for bad in (np.nextafter(MIN_TEMPERATURE, 0.0), 1e-39, math.nan, math.inf):
+                with pytest.raises(ValueError, match="temperature"):
+                    PretrainConfig(temperature=float(bad))
 
     def test_loss_history_csv_format(self):
         csv = loss_history_csv([LossRecord(1, 0, 0, 0.5), LossRecord(2, 1, 3, 0.25)])

@@ -14,12 +14,15 @@ the locale it started in.
 
 ``pin_malloc_thresholds`` sets both thresholds once, so the adaptation is
 off: every temporary up to 32 MB (the rule's highest mmap threshold) stays on
-the heap, and the heap is never trimmed. One desk-size pretraining step frees
-64 to 96 MB at the heap top, past the rule's 64 MB trim ceiling, so it gave
-those pages back and faulted them in again every step, or not, depending on
-what lay below them. A process started with either threshold set
-(``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or their
-``GLIBC_TUNABLES`` names) keeps its own; other C libraries are left alone.
+the heap, and the heap is never trimmed. A desk-size pretraining step used to
+free up to 67 MB at the heap top (glibc's ``keepcost`` after backward), past
+the rule's 64 MB trim ceiling, so it gave those pages back and faulted them in
+again every step, or not, depending on what lay below them. Since backward
+keeps only the arrays it reads, a step frees up to 51 MB there, under the
+ceiling; a larger batch or model passes it again. A process started with
+either threshold set (``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or
+their ``GLIBC_TUNABLES`` names) keeps its own; other C libraries are left
+alone.
 
 OpenBLAS splits a large GEMM across its threads, which reorders the float32
 sums: the same pretraining run wrote other checkpoint bytes on two CPUs than on
@@ -61,16 +64,31 @@ def pin_malloc_thresholds() -> bool:
         and bool(mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
 
 
+def _openblas(name: str):
+    """An entry point of the OpenBLAS that numpy's wheels bundle, or None."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        return getattr(ctypes.CDLL(core._multiarray_umath.__file__), name)
+    except (OSError, AttributeError):
+        return None
+
+
 def pin_blas_threads() -> bool:
     """Run numpy's bundled OpenBLAS on one thread; True when it was set."""
     if any(var in os.environ for var in BLAS_THREAD_VARS):
         return False
-    core = getattr(np, "_core", None) or np.core
-    try:
-        lib = ctypes.CDLL(core._multiarray_umath.__file__)
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
+    set_threads = _openblas("scipy_openblas_set_num_threads64_")
+    if set_threads is None:
         return False
     set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
     set_threads(1)
     return True
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS; None when numpy has none."""
+    get_threads = _openblas("scipy_openblas_get_num_threads64_")
+    if get_threads is None:
+        return None
+    get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+    return get_threads()

@@ -1,15 +1,19 @@
 """Tape-based reverse-mode automatic differentiation over numpy arrays.
 
-Every operation records a closure that propagates gradients to its inputs;
-``Tensor.backward`` replays the tape in reverse topological order and then
-frees it. float32 is the working precision; switch to float64 (``precision``)
-for finite-difference gradient checking.
+Every operation on the tape records a :class:`Node`: the nodes of its inputs
+and a closure that propagates gradients to them. ``Tensor.backward`` replays
+the tape in reverse topological order and then frees it. A closure keeps only
+the arrays its formula reads (the other operand of a product, a softmax's own
+output), never the input tensors, so an intermediate that no backward reads is
+freed as soon as the op that consumed it returns. float32 is the working
+precision; switch to float64 (``precision``) for finite-difference gradient
+checking.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,17 +45,45 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-class Tensor:
-    """N-dimensional float tensor that knows how to backpropagate."""
+class Node:
+    """A tensor's entry on the tape: its gradient, its inputs' nodes and its backward.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    A leaf (a parameter) has no parents and no backward; its gradient survives
+    ``Tensor.backward`` for the optimizer.
+    """
+
+    __slots__ = ("grad", "_parents", "_backward")
+
+    def __init__(self, parents: tuple = (), backward=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    """N-dimensional float tensor; ``node`` is its tape entry, None when off the tape."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_ACTIVE_DTYPE)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self.node = Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self.node is None else self.node._parents
 
     @property
     def shape(self):
@@ -69,7 +101,8 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):
-        self.grad = None
+        if self.node is not None:
+            self.node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
@@ -80,9 +113,12 @@ class Tensor:
         """Backpropagate from a scalar tensor; frees the tape afterwards."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        if self.node is None:
+            raise ValueError("backward() requires a tensor on the tape; this one was "
+                             "built under no_grad or from constants only")
+        topo: list[Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(self.node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -95,7 +131,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        self.node.grad = np.ones_like(self.data)
         for node in reversed(topo):
             recorded = node._backward is not None
             if recorded and node.grad is not None:
@@ -165,24 +201,23 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
+def _make(data: np.ndarray, parents: Sequence[Node | None], backward) -> Tensor:
+    """A new tensor, on the tape when recording and one of ``parents`` is a node.
+
+    ``backward`` must capture its parents' nodes and the arrays its formula
+    reads, not the input tensors: what it captures lives until the tape is
+    freed. It runs only when at least one parent is on the tape; an op with two
+    or more parents skips the gradient of a parent whose node is None.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    parents = tuple(p for p in parents if p.requires_grad)
-    if _GRAD_ENABLED and parents:
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    parents = tuple(p for p in parents if p is not None)
+    out.node = Node(parents, backward) if _GRAD_ENABLED and parents else None
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
-    """Add ``g`` to ``t.grad``; the first gradient is stored without a copy.
+def _accumulate(node: Node, g: np.ndarray):
+    """Add ``g`` to ``node.grad``; the first gradient is stored without a copy.
 
     A stored gradient may share memory with another (``add`` hands one array
     to both parents). That is safe because nothing writes into a gradient in
@@ -191,12 +226,10 @@ def _accumulate(t: Tensor, g: np.ndarray):
     sum in layout order; ``order="C"`` keeps 0-d gradients 0-d, unlike
     ``np.ascontiguousarray``.
     """
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.asarray(g, order="C")
+    if node.grad is None:
+        node.grad = np.asarray(g, order="C")
     else:
-        t.grad = t.grad + g
+        node.grad = node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -214,85 +247,101 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, sa))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, sb))
 
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (na, nb), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, sa))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(-g, sb))
 
-    return _make(data, (a, b), backward)
+    return _make(a.data - b.data, (na, nb), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
+    # each operand's gradient reads the other operand
+    bv = b.data if na is not None else None
+    av = a.data if nb is not None else None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * bv, sa))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g * av, sb))
 
-    return _make(data, (a, b), backward)
+    return _make(a.data * b.data, (na, nb), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
+    bv = b.data
+    av = a.data if nb is not None else None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g / bv, sa))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(-g * av / (bv * bv), sb))
 
-    return _make(data, (a, b), backward)
+    return _make(a.data / b.data, (na, nb), backward)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
+    node = a.node
 
     def backward(g):
-        _accumulate(a, -g)
+        _accumulate(node, -g)
 
-    return _make(-a.data, (a,), backward)
+    return _make(-a.data, (node,), backward)
 
 
 def power(a, p: float) -> Tensor:
     """Elementwise a**p for a constant exponent."""
     a = as_tensor(a)
-    data = a.data ** p
+    node, x = a.node, a.data
 
     def backward(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
+        _accumulate(node, g * p * x ** (p - 1.0))
 
-    return _make(data, (a,), backward)
+    return _make(x ** p, (node,), backward)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
+    node = a.node
     data = np.exp(a.data)
 
     def backward(g):
-        _accumulate(a, g * data)
+        _accumulate(node, g * data)
 
-    return _make(data, (a,), backward)
+    return _make(data, (node,), backward)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
+    node, x = a.node, a.data
 
     def backward(g):
-        _accumulate(a, g / a.data)
+        _accumulate(node, g / x)
 
-    return _make(np.log(a.data), (a,), backward)
+    return _make(np.log(x), (node,), backward)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -311,7 +360,7 @@ def gelu(a) -> Tensor:
     float32 range differs, where ``x * (1 + t)`` overflows.
     """
     a = as_tensor(a)
-    x = a.data
+    node, x = a.node, a.data
     t = x * x
     t *= x
     t *= _GELU_A
@@ -336,20 +385,20 @@ def gelu(a) -> Tensor:
         du *= 0.5                       # 0.5 * (1 + t)
         dg += du
         dg *= g
-        _accumulate(a, dg)
+        _accumulate(node, dg)
 
-    return _make(data, (a,), backward)
+    return _make(data, (node,), backward)
 
 
 def softplus(a) -> Tensor:
     """log(1 + exp(x)), computed overflow-free."""
     a = as_tensor(a)
-    data = np.logaddexp(0.0, a.data)
+    node, x = a.node, a.data
 
     def backward(g):
-        _accumulate(a, g / (1.0 + np.exp(-a.data)))
+        _accumulate(node, g / (1.0 + np.exp(-x)))
 
-    return _make(data, (a,), backward)
+    return _make(np.logaddexp(0.0, x), (node,), backward)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -357,21 +406,25 @@ def softplus(a) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = np.matmul(a.data, b.data)
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
+    # each operand's gradient reads the other operand
+    bt = np.swapaxes(b.data, -1, -2) if na is not None else None
+    av = a.data if nb is not None else None
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.data.ndim == 2 and a.data.ndim > 2:
-            # a shared weight: one 2-D GEMM over all rows, not a stack of
-            # per-batch products summed afterwards
-            k, m = b.data.shape
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
-        else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(np.matmul(g, bt), sa))
+        if nb is not None:
+            if len(sb) == 2 and len(sa) > 2:
+                # a shared weight: one 2-D GEMM over all rows, not a stack of
+                # per-batch products summed afterwards
+                k, m = sb
+                gb = av.reshape(-1, k).T @ g.reshape(-1, m)
+            else:
+                gb = np.matmul(np.swapaxes(av, -1, -2), g)
+            _accumulate(nb, _unbroadcast(gb, sb))
 
-    return _make(data, (a, b), backward)
+    return _make(np.matmul(a.data, b.data), (na, nb), backward)
 
 
 # -- reductions --------------------------------------------------------------
@@ -379,18 +432,15 @@ def matmul(a, b) -> Tensor:
 
 def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    node, shape = a.node, a.shape
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, [ax % a.data.ndim for ax in axes])
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+            g = np.expand_dims(g, [ax % len(shape) for ax in axes])
+        _accumulate(node, np.broadcast_to(g, shape).copy())
 
-    return _make(np.asarray(data), (a,), backward)
+    return _make(np.asarray(a.data.sum(axis=axis, keepdims=keepdims)), (node,), backward)
 
 
 def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
@@ -410,65 +460,65 @@ def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    data = a.data.reshape(shape)
+    node, old_shape = a.node, a.shape
 
     def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(node, g.reshape(old_shape))
 
-    return _make(data, (a,), backward)
+    return _make(a.data.reshape(shape), (node,), backward)
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    data = np.transpose(a.data, axes)
+    node = a.node
     inverse = np.argsort([axis % a.ndim for axis in axes])
 
     def backward(g):
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(node, np.transpose(g, inverse))
 
-    return _make(data, (a,), backward)
+    return _make(np.transpose(a.data, axes), (node,), backward)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [t.node for t in tensors]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                _accumulate(node, g[tuple(idx)])
 
-    return _make(data, tensors, backward)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), nodes, backward)
 
 
 def getitem(a, idx) -> Tensor:
     """Basic (non-repeating) indexing: slices, ints, tuples thereof."""
     a = as_tensor(a)
-    data = a.data[idx]
+    node, shape, dtype = a.node, a.shape, a.data.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[idx] = g
-        _accumulate(a, full)
+        _accumulate(node, full)
 
-    return _make(data, (a,), backward)
+    return _make(a.data[idx], (node,), backward)
 
 
 def take_rows(table, indices: np.ndarray) -> Tensor:
     """Embedding lookup: gather rows of a 2-D table by an integer array."""
     table = as_tensor(table)
     indices = np.asarray(indices)
-    data = table.data[indices]
+    node, shape, dtype = table.node, table.shape, table.data.dtype
 
     def backward(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(shape, dtype)
         np.add.at(full, indices, g)
-        _accumulate(table, full)
+        _accumulate(node, full)
 
-    return _make(data, (table,), backward)
+    return _make(table.data[indices], (node,), backward)
 
 
 # -- normalization / softmax -------------------------------------------------
@@ -496,6 +546,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     ``y * (g - sum(g * y))`` in one buffer of its own.
     """
     a = as_tensor(a)
+    node = a.node
     data = a.data - _row_max(a.data, axis)
     np.exp(data, out=data)
     data /= data.sum(axis=axis, keepdims=True)
@@ -505,21 +556,22 @@ def softmax(a, axis: int = -1) -> Tensor:
         inner = grad.sum(axis=axis, keepdims=True)
         np.subtract(g, inner, out=grad)
         grad *= data
-        _accumulate(a, grad)
+        _accumulate(node, grad)
 
-    return _make(data, (a,), backward)
+    return _make(data, (node,), backward)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
+    node = a.node
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
 
     def backward(g):
-        _accumulate(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
+        _accumulate(node, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
-    return _make(data, (a,), backward)
+    return _make(data, (node,), backward)
 
 
 def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:

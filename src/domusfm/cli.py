@@ -8,7 +8,10 @@ embedding table).
 
 Configuration is a plain-text file of dotted keys (``model.d = 64``);
 ``--set key=value`` flags override file values, and the ``DOMUS_SEED``
-environment variable overrides the seed everywhere. All outputs are written
+environment variable overrides the ``seed`` key and the spec seed of ``synth``
+(``synth --seed`` wins). ``seed`` changes only what ``pretrain`` writes:
+``finetune`` and ``eval`` load a checkpoint over the initialised model and take
+their seeds from ``protocol.seeds``. All outputs are written
 atomically (temp file + rename). Exit codes: 0 success, 1 usage error,
 2 data error, 3 numeric failure.
 """
@@ -55,7 +58,8 @@ class UsageError(ValueError):
 
 
 # Each config key that sets one dataclass field, which gives the key its default
-# and checks its value. ``seed`` also seeds fine-tuning and ``Model.init``.
+# and checks its value. ``seed`` also seeds ``Model.init``, which a checkpoint then
+# overwrites, and ``FinetuneSettings``, which ``protocol.seeds`` then overrides.
 FIELDS: dict[str, tuple[type, str]] = {
     "seed": (PretrainConfig, "seed"),
     "model.d": (ModelConfig, "d"),

@@ -114,12 +114,15 @@ def linear(x, w, b) -> Tensor:
     h = matmul(x, w)
     data = h.data
     data += b.data
+    nh, nb, sb = h.node, b.node, b.shape
 
     def backward(g):
-        _accumulate(h, g)
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if nh is not None:
+            _accumulate(nh, g)
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, sb))
 
-    return _make(data, (h, b), backward)
+    return _make(data, (nh, nb), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -139,20 +142,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat *= inv
     np.multiply(xhat, gain.data, out=data)
     data += bias.data
+    nx, ng, nb, gv = x.node, gain.node, bias.node, gain.data
+    gshape, bshape = gain.shape, bias.shape
 
     def backward(g):
-        dx = g * gain.data                              # d loss / d xhat
-        m1 = dx.mean(axis=-1, keepdims=True)
-        tmp = dx * xhat
-        m2 = tmp.mean(axis=-1, keepdims=True)
-        dx -= m1
-        dx -= np.multiply(xhat, m2, out=tmp)
-        dx *= inv
-        _accumulate(x, dx)
-        _accumulate(gain, _unbroadcast(np.multiply(g, xhat, out=tmp), gain.data.shape))
-        _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        tmp = None
+        if nx is not None:
+            dx = g * gv                                 # d loss / d xhat
+            m1 = dx.mean(axis=-1, keepdims=True)
+            tmp = dx * xhat
+            m2 = tmp.mean(axis=-1, keepdims=True)
+            dx -= m1
+            dx -= np.multiply(xhat, m2, out=tmp)
+            dx *= inv
+            _accumulate(nx, dx)
+        if ng is not None:
+            _accumulate(ng, _unbroadcast(np.multiply(g, xhat, out=tmp), gshape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, bshape))
 
-    return _make(data, (x, gain, bias), backward)
+    return _make(data, (nx, ng, nb), backward)
 
 
 def multi_head_attention(x, heads: int, params: dict[str, Tensor],

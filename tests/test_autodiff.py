@@ -5,12 +5,18 @@ Every differentiable primitive is checked against central finite differences
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from domusfm import autodiff as ad
+from domusfm import context_encoder, nn
 from domusfm.autodiff import Tensor, grad_check, no_grad, parameter, precision
+from domusfm.context_encoder import contextualize, init_context_encoder
+from domusfm.nn import layer_norm
+from conftest import toy_config
+from test_bitwise_ops import ref_layer_norm, ref_softmax, ref_softmax_backward
 
 SEEDS = (0, 1, 2)
 TOL = 1e-4
@@ -254,7 +260,7 @@ class TestTapeMechanics:
         x = parameter(np.ones(3))
         with no_grad():
             y = (x * 2.0).sum()
-        assert y._backward is None and not y.requires_grad
+        assert y.node is None and not y.requires_grad
 
     def test_gradient_accumulates_across_uses(self):
         with precision("float64"):
@@ -292,7 +298,88 @@ class TestTapeMechanics:
         with pytest.raises(ValueError, match="scalar"):
             (x * 1.0).backward()
 
+    @pytest.mark.parametrize("build", ["no_grad", "constants"])
+    def test_backward_off_the_tape_raises(self, build):
+        # such a loss would leave every parameter without a gradient, and Adam
+        # would step them all with zeros
+        x = parameter(np.ones(3))
+        if build == "no_grad":
+            with no_grad():
+                loss = (x * 2.0).sum()
+        else:
+            loss = (Tensor(np.ones(3)) * 2.0).sum()
+        with pytest.raises(ValueError, match="on the tape"):
+            loss.backward()
+        assert x.grad is None
+
     def test_dtype_default_is_float32(self):
         assert Tensor([1.0]).data.dtype == np.float32
         with precision("float64"):
             assert Tensor([1.0]).data.dtype == np.float64
+
+
+def _spy(monkeypatch, module, name, log):
+    """Rebind ``module.name`` to record weak references to its input and output arrays."""
+    original = getattr(module, name)
+
+    def spied(*args, **kwargs):
+        out = original(*args, **kwargs)
+        log.append((weakref.ref(args[0].data), weakref.ref(out.data)))
+        return out
+
+    monkeypatch.setattr(module, name, spied)
+
+
+class TestSavedArrays:
+    """A backward keeps the arrays its formula reads; the rest are freed in forward."""
+
+    def test_block_keeps_only_what_backward_reads(self):
+        rng = np.random.default_rng(4)
+
+        def f32(*shape):
+            return rng.normal(size=shape).astype(np.float32)
+
+        x, r, v = parameter(f32(4, 5, 8)), parameter(f32(4, 5, 8)), parameter(f32(8, 3))
+        gain, bias = parameter(1.0 + 0.1 * f32(8)), parameter(0.1 * f32(8))
+        refs = {}
+
+        def block():
+            s = x + r                        # add keeps shapes only
+            scores = layer_norm(s, gain, bias) * 0.5   # a constant factor: mul keeps nothing
+            y = ad.softmax(scores, axis=-1)  # softmax keeps its output
+            refs.update(sum=weakref.ref(s.data), scores=weakref.ref(scores.data),
+                        y=weakref.ref(y.data))
+            return ad.matmul(y, v).sum()
+
+        loss = block()
+        assert refs["sum"]() is None and refs["scores"]() is None
+        assert refs["y"]() is not None
+        loss.backward()
+        assert refs["y"]() is None
+
+        # the gradients are still the reference formulas, bit for bit
+        s = x.data + r.data
+        h = ref_layer_norm(s, gain.data, bias.data, np.zeros_like(s))[0]
+        y = ref_softmax(h * np.float32(0.5), -1)
+        ones = np.ones((4, 5, 3), np.float32)
+        g_h = ref_softmax_backward(y, np.matmul(ones, v.data.T), -1) * np.float32(0.5)
+        _, dx, dgain, dbias = ref_layer_norm(s, gain.data, bias.data, g_h)
+        for t, expected in ((x, dx), (r, dx), (gain, dgain), (bias, dbias),
+                            (v, y.reshape(-1, 8).T @ ones.reshape(-1, 3))):
+            np.testing.assert_array_equal(t.grad, expected)
+
+    def test_context_layer_frees_scores_and_residual_before_backward(self, monkeypatch):
+        config = toy_config(d=8, heads=2, layers=1)
+        params = init_context_encoder(config, np.random.default_rng(0))
+        softmaxes, norms = [], []
+        _spy(monkeypatch, nn, "softmax", softmaxes)
+        _spy(monkeypatch, context_encoder, "layer_norm", norms)
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 8)))
+        loss = contextualize(x, params, config).sum()
+        (scores, weights), = softmaxes
+        residual = norms[1][0]               # the input of the second layer norm
+        assert scores() is None and residual() is None
+        assert weights() is not None
+        loss.backward()
+        assert weights() is None
+        assert all(t.grad is not None for t in params.tensors.values())

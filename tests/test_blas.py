@@ -55,3 +55,9 @@ def test_thread_variables_set_by_the_user_are_kept():
     assert run(code) == "True"
     assert run(code, OPENBLAS_NUM_THREADS="2") == "False"
     assert run(code, OMP_NUM_THREADS="2") == "False"
+
+
+def test_blas_threads_reports_the_effective_count():
+    code = "import domusfm; from domusfm.allocator import blas_threads; print(blas_threads())"
+    assert run(code) == "1"
+    assert run(code, OPENBLAS_NUM_THREADS="2") == "2"

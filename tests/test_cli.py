@@ -303,6 +303,22 @@ class TestEvalCommands:
         assert main(argv) == EXIT_OK
         assert (trained / "out" / "eval_metrics.csv").read_text() == first
 
+    def test_seed_leaves_eval_alone_protocol_seeds_do_not(self, trained):
+        # the checkpoint overwrites the model that `seed` initialises, and
+        # fine-tuning takes its seeds from protocol.seeds
+        def metrics(*overrides):
+            argv = ["eval", "--config", "run.cfg",
+                    "--set", "paths.datasets=home1.csv,home2.csv,home3.csv",
+                    "--checkpoint", "out/pretrained.ckpt", "--held-out", "home3"]
+            for override in overrides:
+                argv += ["--set", override]
+            assert main(argv) == EXIT_OK
+            return (trained / "out" / "eval_metrics.csv").read_bytes()
+
+        first = metrics("seed=3")
+        assert metrics("seed=5") == first
+        assert metrics("protocol.seeds=4") != first
+
     def test_table_read_once_for_every_seed(self, trained, monkeypatch):
         # the controls of all seeds share the model's table; none re-reads it
         import domusfm.cli as cli

@@ -8,6 +8,8 @@ only traced benchmark runs; this test catches that in the fast suite.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from conftest import toy_config
 from domusfm import pretraining
 from domusfm.benchmark import three_home_corpus
@@ -52,3 +54,19 @@ def test_pretrain_spans_carry_phase_labels():
     assert ("phase2", "pretraining.infonce") in labelled
     assert ("phase1", "context_encoder.forward") not in labelled
     assert tracer.check_nesting() == []
+
+
+def test_tape_nodes_of_a_toy_pretraining_loss():
+    # the tape of each phase's contrastive loss keeps its size when ops change
+    # what they save for backward
+    tracing = load_tracing()
+    config = toy_config(n_window=4)
+    model = Model.init(config, fallback_table(config.text_dim()), seed=0)
+    windows = []
+    for ds in three_home_corpus(days=1, seed=0)[:2]:
+        model.add_stream_features(ds.name, ds.stream.events)
+        windows += segment_events(ds.stream, 4, 3, dataset=ds.name)[:4]
+    counts = [tracing.tape_nodes(pretraining.contrastive_loss(
+        model, windows, phase, PretrainConfig(batch_size=8), np.random.default_rng(0)))
+        for phase in (1, 2)]
+    assert counts == [134, 105]

@@ -11,9 +11,10 @@ Configuration is a plain-text file of dotted keys (``model.d = 64``);
 environment variable overrides the ``seed`` key and the spec seed of ``synth``
 (``synth --seed`` wins). ``seed`` changes only what ``pretrain`` writes:
 ``finetune`` and ``eval`` load a checkpoint over the initialised model and take
-their seeds from ``protocol.seeds``. All outputs are written
-atomically (temp file + rename). Exit codes: 0 success, 1 usage error,
-2 data error, 3 numeric failure.
+their seeds from ``protocol.seeds``. ``pretrain`` leaves out the dataset
+``protocol.held_out`` (``--held-out`` overrides it): the commands run the steps
+of ``evaluation.lodo_run``. All outputs are written atomically (temp file +
+rename). Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import fields, replace
 from .checkpoint import CheckpointError, atomic_write
 from .downstream import FinetuneSettings
 from .embeddings import load_table_tsv
-from .evaluation import (EvalProtocol, LodoConfig, MetricReport, control_model, grid_run,
-                         kfold_splits)
+from .evaluation import (EvalProtocol, LodoConfig, MetricReport, grid_run, held_out_splits,
+                         init_model, pretrain_backbone)
 from .event_encoder import ModelConfig
 from .ingest import (
     ActivityScript,
@@ -42,10 +43,8 @@ from .ingest import (
     parse_event_csv,
     write_event_csv,
 )
-from .model import Model
 from .nn import NumericError
-from .pretraining import PretrainConfig, loss_history_csv, pretrain
-from .segmentation import segment_events
+from .pretraining import PretrainConfig, loss_history_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,6 +87,7 @@ FIELDS: dict[str, tuple[type, str]] = {
     "protocol.folds": (EvalProtocol, "folds"),
     "protocol.k": (EvalProtocol, "k_values"),
     "protocol.seeds": (EvalProtocol, "seeds"),
+    "protocol.held_out": (EvalProtocol, "held_out"),
 }
 
 
@@ -99,7 +99,6 @@ def _field_default(cls: type, name: str):
 # The keys that set no dataclass field come last.
 DEFAULTS: dict[str, object] = {
     **{key: _field_default(cls, name) for key, (cls, name) in FIELDS.items()},
-    "protocol.held_out": "",
     "paths.datasets": [],
     "paths.embedding_table": "",
     "paths.out_dir": "out",
@@ -137,31 +136,24 @@ def _coerce(key: str, raw: str):
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
     """Dotted-key config file plus --set overrides, on top of the defaults."""
-    config = dict(DEFAULTS)
+    items = []
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().split("\n")
         except OSError as exc:
             raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{lineno}: expected `key = value`")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            config[key] = _coerce(key, raw)
-    for item in overrides:
-        if "=" not in item:
-            raise UsageError(f"--set needs key=value, got {item!r}")
-        key, _, raw = item.partition("=")
+        items = [(f"{path}:{lineno}", line.strip())
+                 for lineno, line in enumerate(lines, start=1)
+                 if line.strip() and not line.strip().startswith("#")]
+    config = dict(DEFAULTS)
+    for where, text in items + [("--set", item) for item in overrides]:
+        key, eq, raw = text.partition("=")
         key = key.strip()
+        if not eq:
+            raise UsageError(f"{where}: expected key=value, got {text!r}")
         if key not in DEFAULTS:
-            raise UsageError(f"--set: unknown config key {key!r}")
+            raise UsageError(f"{where}: unknown config key {key!r}")
         config[key] = _coerce(key, raw)
     seed = env_seed()
     if seed is not None:
@@ -178,7 +170,7 @@ def env_seed() -> int | None:
 # -- config -> objects ---------------------------------------------------------
 
 
-def command_config(config: dict, held_out: str = "") -> LodoConfig:
+def command_config(config: dict) -> LodoConfig:
     """Every config object a command uses, built before any file is read.
 
     A value that a config dataclass rejects is a usage error, like a value of
@@ -188,7 +180,6 @@ def command_config(config: dict, held_out: str = "") -> LodoConfig:
     for key, (cls, name) in FIELDS.items():
         value = config[key]
         kwargs[cls][name] = tuple(value) if isinstance(value, list) else value
-    kwargs[EvalProtocol]["held_out"] = held_out
     kwargs[FinetuneSettings]["seed"] = config["seed"]
     try:
         return LodoConfig(model=ModelConfig(**kwargs[ModelConfig]),
@@ -292,20 +283,11 @@ def cmd_embed_table_check(args) -> int:
 
 def cmd_pretrain(args, config: dict) -> int:
     lodo = command_config(config)
-    datasets = load_datasets(config)
-    model = Model.init(lodo.model, load_table(config), seed=config["seed"])
-    for ds in datasets:
-        model.add_stream_features(ds.name, ds.stream.events)
-    windows = {ds.name: segment_events(ds.stream, lodo.model.n_window, lodo.overlap,
-                                       dataset=ds.name)
-               for ds in datasets}
-    empty = [name for name, ws in windows.items() if not ws]
-    if empty:
-        raise ParseError(f"datasets too short to segment: {empty}")
-    result = pretrain(windows, lodo.pretrain, model)
+    result = pretrain_backbone(load_datasets(config), lodo, load_table(config),
+                               lodo.pretrain.seed)
     out_dir = config["paths.out_dir"]
     ckpt = os.path.join(out_dir, "pretrained.ckpt")
-    model.save(ckpt)
+    result.model.save(ckpt)
     atomic_write(os.path.join(out_dir, "pretrain_loss.csv"),
                  [loss_history_csv(result.history).encode("utf-8")])
     print(f"pretrained on {sorted(result.seen_datasets)}; "
@@ -315,29 +297,16 @@ def cmd_pretrain(args, config: dict) -> int:
 
 
 def _checkpoint_grid(args, config: dict, with_control: bool) -> int:
-    held_out = args.held_out or config["protocol.held_out"]
-    if not held_out:
+    lodo = replace(command_config(config), run_control=with_control)
+    if not lodo.protocol.held_out:
         raise UsageError("--held-out (or protocol.held_out) is required")
-    lodo = command_config(config, held_out)
     datasets = load_datasets(config)
-    names = [ds.name for ds in datasets]
-    if held_out not in names:
-        raise ParseError(f"held-out dataset {held_out!r} not among {names}")
-    held = next(ds for ds in datasets if ds.name == held_out)
-
-    model = Model.init(lodo.model, load_table(config), seed=config["seed"])
+    held_out, splits = held_out_splits(datasets, lodo)
+    model = init_model(datasets, lodo, load_table(config), lodo.pretrain.seed)
     model.load(args.checkpoint)  # validates architecture and shapes before any mutation
-    for ds in datasets:
-        model.add_stream_features(ds.name, ds.stream.events)
-    windows = segment_events(held.stream, lodo.model.n_window, lodo.overlap,
-                             dataset=held.name)
-    splits = kfold_splits(windows, lodo.protocol.folds)
     report = MetricReport()
     for seed in lodo.protocol.seeds:
-        variants = [("", model)]
-        if with_control:
-            variants.append(("_control", control_model(model, seed)))
-        grid_run(report, variants, held, splits, lodo, seed,
+        grid_run(report, model, held_out, splits, lodo, seed,
                  progress=(print if args.verbose else None))
     out_name = "eval_metrics.csv" if with_control else "finetune_metrics.csv"
     out_path = os.path.join(config["paths.out_dir"], out_name)
@@ -388,7 +357,9 @@ def make_parser() -> _Parser:
         p.add_argument("--verbose", action="store_true")
         if name != "pretrain":
             p.add_argument("--checkpoint", required=True)
-            p.add_argument("--held-out", default="", dest="held_out")
+            p.add_argument("--held-out", dest="set", action="append", metavar="NAME",
+                           type=lambda name: f"protocol.held_out={name}",
+                           help="same as --set protocol.held_out=NAME")
 
     p = sub.add_parser("embed-table-check", help="validate a TSV embedding table")
     p.add_argument("table")

@@ -27,13 +27,13 @@ from .downstream import (
 from .event_encoder import ModelConfig
 from .ingest import Dataset
 from .model import Model
-from .pretraining import PretrainConfig, pretrain
+from .pretraining import PretrainConfig, PretrainResult, pretrain
 from .segmentation import Window, check_overlap, segment_events
 
 
 @dataclass(frozen=True)
 class EvalProtocol:
-    held_out: str
+    held_out: str = ""
     train_pcts: tuple = (5.0, 10.0, 15.0, 30.0)
     folds: int = 5
     k_values: tuple = (10, 30)
@@ -263,53 +263,73 @@ class LodoConfig:
 
 def lodo_run(datasets: Sequence[Dataset], config: LodoConfig,
              table=None, progress: Optional[Callable[[str], None]] = None) -> MetricReport:
-    """Pretrain on all datasets but one; fine-tune and evaluate on the held-out.
+    """Per seed: ``pretrain_backbone``, then ``grid_run`` on the held-out dataset."""
+    say = progress or (lambda msg: None)
+    held_out, splits = held_out_splits(datasets, config)
+    report = MetricReport()
+    for seed in config.protocol.seeds:
+        result = pretrain_backbone(datasets, config, table, seed)
+        say(f"seed {seed}: pretrained on {sorted(result.seen_datasets)}")
+        grid_run(report, result.model, held_out, splits, config, seed, say)
+    return report
+
+
+def pretrain_backbone(datasets: Sequence[Dataset], config: LodoConfig,
+                      table=None, seed: int = 0) -> PretrainResult:
+    """``init_model``, pretrained on every dataset but the held-out one.
+
+    A pretraining dataset too short for one window is a ``ValueError`` naming it.
+    """
+    held_out = config.protocol.held_out
+    windows = {ds.name: segment_events(ds.stream, config.model.n_window,
+                                       config.overlap, dataset=ds.name)
+               for ds in datasets if ds.name != held_out}
+    if not windows:
+        raise ValueError(f"no pretraining dataset besides the held-out {held_out!r}")
+    empty = [name for name, ws in windows.items() if not ws]
+    if empty:
+        raise ValueError(f"datasets too short to segment: {empty}")
+    model = init_model(datasets, config, table, seed)
+    result = pretrain(windows, replace(config.pretrain, seed=seed), model)
+    if held_out in result.seen_datasets:
+        raise AssertionError("held-out windows leaked into pretraining")
+    return result
+
+
+def init_model(datasets: Sequence[Dataset], config: LodoConfig,
+               table=None, seed: int = 0) -> Model:
+    """A model initialised with ``seed``; every stream, held-out too, is registered."""
+    model = Model.init(config.model, table, seed=seed)
+    for ds in datasets:
+        model.add_stream_features(ds.name, ds.stream.events)
+    return model
+
+
+def held_out_splits(datasets: Sequence[Dataset],
+                    config: LodoConfig) -> tuple[Dataset, list[tuple[list, list]]]:
+    """The held-out dataset and the purged k-fold splits of its windows."""
+    by_name = {ds.name: ds for ds in datasets}
+    held_out = by_name.get(config.protocol.held_out)
+    if held_out is None:
+        raise ValueError(f"held-out dataset {config.protocol.held_out!r} not among "
+                         f"{list(by_name)}")
+    windows = segment_events(held_out.stream, config.model.n_window, config.overlap,
+                             dataset=held_out.name)
+    return held_out, kfold_splits(windows, config.protocol.folds)
+
+
+def grid_run(report: MetricReport, model: Model, held_out: Dataset, splits,
+             config: LodoConfig, seed: int,
+             progress: Optional[Callable[[str], None]] = None):
+    """Fine-tune and evaluate ``model`` in every (pct, fold) cell of the protocol.
 
     A random-init control with the identical architecture and fine-tuning
     (metric suffix ``_control``) runs alongside when ``run_control`` is set.
     """
     say = progress or (lambda msg: None)
-    protocol = config.protocol
-    names = [d.name for d in datasets]
-    if protocol.held_out not in names:
-        raise ValueError(f"held-out dataset {protocol.held_out!r} not among {names}")
-    if len(datasets) < 2:
-        raise ValueError("LODO needs at least 2 datasets")
-    held_out = next(d for d in datasets if d.name == protocol.held_out)
-
-    seg = {}
-    for ds in datasets:
-        seg[ds.name] = segment_events(ds.stream, config.model.n_window,
-                                      config.overlap, dataset=ds.name)
-    pretrain_windows = {name: ws for name, ws in seg.items()
-                        if name != protocol.held_out and ws}
-    if not pretrain_windows:
-        raise ValueError("no pretraining windows outside the held-out dataset")
-
-    splits = kfold_splits(seg[protocol.held_out], protocol.folds)
-    report = MetricReport()
-
-    for seed in protocol.seeds:
-        pretrained = Model.init(config.model, table, seed=seed)
-        for ds in datasets:
-            pretrained.add_stream_features(ds.name, ds.stream.events)
-        say(f"seed {seed}: pretraining on {sorted(pretrain_windows)}")
-        result = pretrain(pretrain_windows, replace(config.pretrain, seed=seed), pretrained)
-        if protocol.held_out in result.seen_datasets:
-            raise AssertionError("held-out windows leaked into pretraining")
-
-        variants = [("", pretrained)]
-        if config.run_control:
-            variants.append(("_control", control_model(pretrained, seed)))
-        grid_run(report, variants, held_out, splits, config, seed, say)
-    return report
-
-
-def grid_run(report: MetricReport, variants: Sequence[tuple[str, Model]],
-             held_out: Dataset, splits, config: LodoConfig, seed: int,
-             progress: Optional[Callable[[str], None]] = None):
-    """Fine-tune and evaluate every (pct, fold, variant) cell of the protocol."""
-    say = progress or (lambda msg: None)
+    variants = [("", model)]
+    if config.run_control:
+        variants.append(("_control", control_model(model, seed)))
     for pct in config.protocol.train_pcts:
         for fold, (train_w, test_w) in enumerate(splits):
             for suffix, backbone in variants:

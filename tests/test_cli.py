@@ -18,6 +18,7 @@ from domusfm.cli import (
     home_spec_from_json,
     load_config,
     main,
+    make_parser,
 )
 from domusfm.downstream import FinetuneSettings
 from domusfm.evaluation import EvalProtocol, LodoConfig
@@ -118,9 +119,17 @@ class TestConfig:
         assert config["model.context_enabled"] is False
 
     def test_defaults_are_the_dataclass_defaults(self):
-        assert command_config(load_config(None, []), "h") == LodoConfig(
-            model=ModelConfig(), protocol=EvalProtocol(held_out="h"),
+        assert command_config(load_config(None, [])) == LodoConfig(
+            model=ModelConfig(), protocol=EvalProtocol(),
             pretrain=PretrainConfig(), finetune=FinetuneSettings())
+
+    def test_held_out_flag_overrides_the_key(self, workspace):
+        (workspace / "h.cfg").write_text("protocol.held_out = home2\n")
+        args = make_parser().parse_args(["eval", "--config", "h.cfg", "--checkpoint", "c",
+                                         "--held-out", "home3"])
+        config = load_config(args.config, args.set)
+        assert command_config(config).protocol.held_out == "home3"
+        assert command_config(load_config("h.cfg", [])).protocol.held_out == "home2"
 
     def test_readme_example_config_loads(self, workspace):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -128,7 +137,7 @@ class TestConfig:
         (workspace / "readme.cfg").write_text(block)
         config = load_config("readme.cfg", [])
         assert config["paths.datasets"] == ["home1.csv", "home2.csv", "home3.csv"]
-        command_config(config, "home3")
+        assert command_config(config).protocol.held_out == "home3"
 
 
 class TestBadConfigValues:
@@ -413,6 +422,55 @@ class TestEvalCommands:
                 "--set", "paths.datasets=home1.csv,home2.csv",
                 "--checkpoint", "out/pretrained.ckpt"]
         assert main(argv) == EXIT_USAGE
+
+
+class TestHeldOutLeftOutOfPretraining:
+    """`pretrain` then `eval` from one config run `lodo_run`'s own steps."""
+
+    @pytest.fixture
+    def homes(self, workspace):
+        from domusfm.benchmark import three_home_corpus
+        from domusfm.ingest import write_event_csv
+
+        corpus = three_home_corpus(days=2, seed=1)
+        for ds in corpus:
+            (workspace / f"{ds.name}.csv").write_bytes(write_event_csv(ds))
+        with open(workspace / "run.cfg", "a") as fh:
+            fh.write("protocol.held_out = home3\n")
+        return corpus
+
+    def test_pretrain_then_eval_equals_lodo_run(self, workspace, homes):
+        from domusfm.evaluation import lodo_run
+
+        every_home = "paths.datasets=home1.csv,home2.csv,home3.csv"
+        assert main(["pretrain", "--config", "run.cfg", "--set", every_home]) == EXIT_OK
+        assert main(["eval", "--config", "run.cfg", "--set", every_home,
+                     "--checkpoint", "out/pretrained.ckpt"]) == EXIT_OK
+        config = load_config("run.cfg", [])
+        assert config["seed"] == 3 and config["protocol.seeds"] == [3]
+        expected = lodo_run(homes, command_config(config)).to_csv().encode()
+        assert (workspace / "out" / "eval_metrics.csv").read_bytes() == expected
+
+    def test_pretrain_leaves_the_held_out_home_out(self, workspace, homes, capsys):
+        def pretrain(datasets):
+            argv = ["pretrain", "--config", "run.cfg", "--set", f"paths.datasets={datasets}"]
+            assert main(argv) == EXIT_OK
+            return ((workspace / "out" / "pretrained.ckpt").read_bytes(),
+                    (workspace / "out" / "pretrain_loss.csv").read_bytes(),
+                    capsys.readouterr().out)
+
+        every_home = pretrain("home1.csv,home2.csv,home3.csv")
+        assert "pretrained on ['home1', 'home2'];" in every_home[2]
+        assert pretrain("home1.csv,home2.csv") == every_home
+
+    def test_too_short_pretraining_dataset_is_data_error(self, workspace, homes, capsys):
+        # 200 events is more than home1 has, fewer than home2 has; home3 is held out
+        argv = ["pretrain", "--config", "run.cfg", "--set", "segmentation.n=200",
+                "--set", "paths.datasets=home1.csv,home2.csv,home3.csv"]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: datasets too short to segment: ['home1']\n"
+        assert not (workspace / "out").exists()
 
 
 class TestBadCheckpoint:

@@ -63,6 +63,15 @@ class TestLodoRun:
         with pytest.raises(ValueError):
             lodo_run(corpus[2:], config)
 
+    def test_too_short_pretraining_dataset_named(self, corpus):
+        short = generate_synthetic_corpus(home_spec("home1", days=1, seed=1))
+        config = tiny_lodo_config()
+        config = dataclasses.replace(
+            config, model=dataclasses.replace(config.model, n_window=len(short.stream) + 1),
+            overlap=0)
+        with pytest.raises(ValueError, match=r"too short to segment: \['home1'\]"):
+            lodo_run([short, *corpus[1:]], config)
+
     def test_ablated_variant_runs(self, corpus):
         config = tiny_lodo_config(k_values=())
         config.model = dataclasses.replace(config.model, context_enabled=False)

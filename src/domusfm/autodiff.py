@@ -348,42 +348,62 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def gelu(a) -> Tensor:
-    """Smooth GELU (tanh form); kink-free, so finite differences stay clean.
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, gelu(x)) with t = tanh(c * (x + a * x**3)), in two new buffers.
 
     Powers are written as products: ``x ** 3`` on float32 goes through the
-    generic ``powf`` path, about 80 times slower than two multiplies. Forward
-    and backward run in place in buffers they allocate, in the order of the
-    textbook formulas except that the factor 0.5 comes last. The bits are the
-    same: halving is exact, and where it rounds (subnormal ``x``) the other
-    factor, ``1 + t`` or ``1 - t * t``, is exactly 1. Only |x| above half the
-    float32 range differs, where ``x * (1 + t)`` overflows.
+    generic ``powf`` path, about 80 times slower than two multiplies. The
+    order is the textbook formula's, except that the factor 0.5 comes last.
+    The bits are the same: halving is exact, and where it rounds (subnormal
+    ``x``) the other factor, ``1 + t`` or ``1 - t * t``, is exactly 1. Only
+    |x| above half the float32 range differs, where ``x * (1 + t)`` overflows.
     """
-    a = as_tensor(a)
-    node, x = a.node, a.data
     t = x * x
     t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
-    np.tanh(t, out=t)  # t = tanh(c * (x + a * x**3))
-    data = t + 1.0
-    data *= x
-    data *= 0.5
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    return t, y
+
+
+def _gelu_slope(x: np.ndarray, t: np.ndarray, out: np.ndarray,
+                du: np.ndarray) -> np.ndarray:
+    """d gelu / d x into ``out``, given ``t`` from ``_gelu_forward``.
+
+    ``du`` is scratch and may be ``x`` itself, which is read for the last
+    time when ``du`` is first written.
+    """
+    np.multiply(t, t, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= x
+    out *= 0.5                      # 0.5 * x * (1 - t**2)
+    np.multiply(x, x, out=du)
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C                   # d u / d x
+    out *= du
+    np.add(t, 1.0, out=du)
+    du *= 0.5                       # 0.5 * (1 + t)
+    out += du
+    return out
+
+
+def gelu(a) -> Tensor:
+    """Smooth GELU (tanh form); kink-free, so finite differences stay clean.
+
+    Forward and backward run in place in buffers they allocate
+    (``_gelu_forward``, ``_gelu_slope``).
+    """
+    a = as_tensor(a)
+    node, x = a.node, a.data
+    t, data = _gelu_forward(x)
 
     def backward(g):
-        dg = t * t
-        np.subtract(1.0, dg, out=dg)
-        dg *= x
-        dg *= 0.5                       # 0.5 * x * (1 - t**2)
-        du = x * x
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C                   # d u / d x
-        dg *= du
-        np.add(t, 1.0, out=du)
-        du *= 0.5                       # 0.5 * (1 + t)
-        dg += du
+        dg = _gelu_slope(x, t, np.empty_like(x), np.empty_like(x))
         dg *= g
         _accumulate(node, dg)
 
@@ -404,6 +424,12 @@ def softplus(a) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a shared 2-D weight in ``a @ w``: one GEMM over all rows,
+    not a stack of per-batch products summed afterwards."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     na, nb, sa, sb = a.node, b.node, a.shape, b.shape
@@ -416,10 +442,7 @@ def matmul(a, b) -> Tensor:
             _accumulate(na, _unbroadcast(np.matmul(g, bt), sa))
         if nb is not None:
             if len(sb) == 2 and len(sa) > 2:
-                # a shared weight: one 2-D GEMM over all rows, not a stack of
-                # per-batch products summed afterwards
-                k, m = sb
-                gb = av.reshape(-1, k).T @ g.reshape(-1, m)
+                gb = _weight_grad(av, g)
             else:
                 gb = np.matmul(np.swapaxes(av, -1, -2), g)
             _accumulate(nb, _unbroadcast(gb, sb))

@@ -15,8 +15,11 @@ import numpy as np
 from .autodiff import (
     Tensor,
     _accumulate,
+    _gelu_forward,
+    _gelu_slope,
     _make,
     _unbroadcast,
+    _weight_grad,
     as_tensor,
     gelu,
     matmul,
@@ -186,17 +189,67 @@ def multi_head_attention(x, heads: int, params: dict[str, Tensor],
     qh = split_heads(project(x, "q"))
     kh = split_heads(project(x, "k"))
     vh = split_heads(project(x, "v"))
+    # Each intermediate is dropped once its consumer has run, so a pass off
+    # the tape frees it there; the tape keeps what backward reads.
     scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * (dh ** -0.5)
+    del qh, kh
     weights = softmax(scores, axis=-1)
+    del scores
     ctx = matmul(weights, vh)  # (b, heads, n, dh)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
-    return project(merged, "o")
+    del weights, vh
+    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
+    return project(ctx, "o")
 
 
 def feed_forward(x, params: dict[str, Tensor], prefix: str) -> Tensor:
-    """Two-layer MLP with GELU, hidden size taken from the stored weights."""
-    h = gelu(linear(x, params[f"{prefix}.1.w"], params[f"{prefix}.1.b"]))
-    return linear(h, params[f"{prefix}.2.w"], params[f"{prefix}.2.b"])
+    """Two-layer MLP with GELU, hidden size taken from the stored weights.
+
+    ``linear -> gelu -> linear`` as one tape node that keeps only ``x`` and
+    the weights. Its backward recomputes the pre-activation, GELU's tanh and
+    GELU's output with the forward's own calls (activation recomputation,
+    Chen et al. 2016), then runs the gradients of the three ops in their
+    float order, so every bit matches the three-node tape. At most three
+    hidden-size arrays are alive at once, forward or backward.
+    """
+    x = as_tensor(x)
+    w1, b1, w2, b2 = (params[f"{prefix}.{layer}.{p}"] for layer in (1, 2) for p in "wb")
+    xv, w1v, b1v, w2v, b2v = x.data, w1.data, b1.data, w2.data, b2.data
+    if not (xv.shape[-1] == w1v.shape[0] and w1v.shape[1] == b1v.shape[-1] == w2v.shape[0]
+            and w2v.shape[1] == b2v.shape[-1]):
+        raise ValueError(f"feed_forward shape mismatch: x{list(xv.shape)}, "
+                         f"w1{list(w1v.shape)}, b1{list(b1v.shape)}, "
+                         f"w2{list(w2v.shape)}, b2{list(b2v.shape)}")
+
+    def hidden_pre():
+        pre = np.matmul(xv, w1v)
+        pre += b1v
+        return pre
+
+    # ``gelu`` is the module attribute, off the tape: instrumentation that
+    # rebinds it times the forward's activation
+    data = np.matmul(gelu(_make(hidden_pre(), (), None)).data, w2v)
+    data += b2v
+    nx, nw1, nb1, nw2, nb2 = x.node, w1.node, b1.node, w2.node, b2.node
+
+    def backward(g):
+        if nb2 is not None:
+            _accumulate(nb2, _unbroadcast(g, b2v.shape))
+        g = np.asarray(g, order="C")    # as ff.2's GEMM node would store it
+        pre = hidden_pre()
+        t, h = _gelu_forward(pre)
+        if nw2 is not None:
+            _accumulate(nw2, _weight_grad(h, g))
+        dpre = _gelu_slope(pre, t, out=h, du=pre)
+        del pre, t
+        dpre *= np.matmul(g, w2v.T)
+        if nb1 is not None:
+            _accumulate(nb1, _unbroadcast(dpre, b1v.shape))
+        if nx is not None:
+            _accumulate(nx, np.matmul(dpre, w1v.T))
+        if nw1 is not None:
+            _accumulate(nw1, _weight_grad(xv, dpre))
+
+    return _make(data, (nx, nw1, nb1, nw2, nb2), backward)
 
 
 # -- optimizer ---------------------------------------------------------------

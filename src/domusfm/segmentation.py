@@ -8,7 +8,6 @@ ends). A window's activity label is the label of its last event.
 from __future__ import annotations
 
 import bisect
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,15 +51,11 @@ def check_overlap(n: int, overlap: int):
 
 def segment_events(stream: EventStream, n: int, overlap: int,
                    dataset: str = "") -> list[Window]:
-    """Fixed-size sliding windows with stride ``n - overlap``."""
+    """Fixed-size sliding windows with stride ``n - overlap``; none for a
+    stream shorter than ``n`` (the caller decides whether that is an error)."""
     check_overlap(n, overlap)
-    total = len(stream)
-    if total < n:
-        warnings.warn(f"stream of {total} events is shorter than window size {n}; "
-                      f"no windows produced", stacklevel=2)
-        return []
     return [Window(dataset, start, n, stream.labels[start + n - 1])
-            for start in range(0, total - n + 1, n - overlap)]
+            for start in range(0, len(stream) - n + 1, n - overlap)]
 
 
 def segment_time(stream: EventStream, delta_t: int, overlap_fraction: float = 0.0,

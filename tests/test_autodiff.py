@@ -14,7 +14,7 @@ from domusfm import autodiff as ad
 from domusfm import context_encoder, nn
 from domusfm.autodiff import Tensor, grad_check, no_grad, parameter, precision
 from domusfm.context_encoder import contextualize, init_context_encoder
-from domusfm.nn import layer_norm
+from domusfm.nn import ParamGroup, init_attention, init_linear, layer_norm
 from conftest import toy_config
 from test_bitwise_ops import ref_layer_norm, ref_softmax, ref_softmax_backward
 
@@ -383,3 +383,55 @@ class TestSavedArrays:
         loss.backward()
         assert weights() is None
         assert all(t.grad is not None for t in params.tensors.values())
+
+    def test_feed_forward_keeps_only_its_input(self, monkeypatch):
+        # backward recomputes the pre-activation, GELU's tanh and GELU's output
+        rng = np.random.default_rng(5)
+        group = ParamGroup("ff")
+        init_linear(group, "ff.1", 8, 32, rng)
+        init_linear(group, "ff.2", 32, 8, rng)
+        hidden = []
+        original = ad._gelu_forward
+
+        def spied(pre):
+            t, y = original(pre)
+            hidden.extend(weakref.ref(a) for a in (pre, t, y))
+            return t, y
+
+        monkeypatch.setattr(ad, "_gelu_forward", spied)
+        x = parameter(rng.normal(size=(3, 4, 8)))
+        loss = nn.feed_forward(x, group.tensors, "ff").sum()
+        assert len(hidden) == 3 and all(r() is None for r in hidden)
+        loss.backward()
+        assert x.grad is not None
+        assert all(t.grad is not None for t in group.tensors.values())
+
+    def test_attention_off_the_tape_frees_each_intermediate(self, monkeypatch):
+        # when the output projection starts, q, k, v, the scores, the weights
+        # and the per-head context are already freed
+        group = ParamGroup("attn")
+        init_attention(group, "attn", 8, np.random.default_rng(6))
+        made, alive = [], []
+
+        def spy(name):
+            original = getattr(nn, name)
+
+            def spied(t, *args, **kwargs):
+                if name == "linear" and args[0] is group["attn.o.w"]:
+                    alive.extend(r() is not None for r in made)
+                out = original(t, *args, **kwargs)
+                made.append(weakref.ref(out.data))
+                if name == "softmax":
+                    made.append(weakref.ref(t.data))
+                return out
+
+            monkeypatch.setattr(nn, name, spied)
+
+        for name in ("linear", "matmul", "softmax"):
+            spy(name)
+        x = Tensor(np.random.default_rng(7).normal(size=(3, 4, 8)))
+        with no_grad():
+            nn.multi_head_attention(x, 2, group.tensors)
+        # q, k and v, each seen by matmul and by linear; the raw scores and the
+        # context; the weights and the scaled scores
+        assert alive == [False] * 10

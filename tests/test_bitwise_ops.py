@@ -4,7 +4,9 @@
 allocate and reuse, but keep the float operation order of the plain numpy
 formulas below. These references are the formulas the ops replaced; every
 checkpoint, loss CSV and benchmark digest depends on the ops reproducing them
-exactly at float32, forward and backward.
+exactly at float32, forward and backward. ``feed_forward`` recomputes its
+hidden activations in backward and must match the ``linear -> gelu -> linear``
+tape it replaced.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from domusfm import autodiff as ad
 from domusfm.autodiff import Tensor, parameter
-from domusfm.nn import layer_norm, linear
+from domusfm.nn import ParamGroup, feed_forward, init_linear, layer_norm, linear
 
 GELU_C = 0.7978845608028654
 GELU_A = 0.044715
@@ -158,3 +160,49 @@ def test_linear_matches_reference(x_shape, m):
     np.testing.assert_array_equal(xs.grad, dx)
     np.testing.assert_array_equal(ws.grad, dw)
     np.testing.assert_array_equal(bs.grad, db)
+
+
+def _ffn_params(rng, d):
+    group = ParamGroup("ff")
+    init_linear(group, "ff.1", d, 4 * d, rng)
+    init_linear(group, "ff.2", 4 * d, d, rng)
+    for t in group.tensors.values():      # non-zero biases
+        t.data += _f32(rng, t.shape, 0.1)
+    return group
+
+
+def _three_op_ffn(x, params, prefix):
+    h = ad.gelu(linear(x, params[f"{prefix}.1.w"], params[f"{prefix}.1.b"]))
+    return linear(h, params[f"{prefix}.2.w"], params[f"{prefix}.2.b"])
+
+
+@pytest.mark.parametrize("b, n", [(1, 1), (3, 4), (5, 7), (64, 30)])
+@pytest.mark.parametrize("uses", [1, 2])
+def test_feed_forward_matches_three_op_tape(b, n, uses):
+    # uses=2: the weights see two inputs before one backward, as in phase 2's
+    # two views
+    rng = np.random.default_rng(4)
+    d = 64 if (b, n) == (64, 30) else 16
+    fused = _ffn_params(rng, d)
+    plain = fused.copy()
+    xs = [_f32(rng, (b, n, d)) for _ in range(uses)]
+    gs = [_f32(rng, (b, n, d)) for _ in range(uses)]
+    grads = []
+    for ffn, group in ((feed_forward, fused), (_three_op_ffn, plain)):
+        inputs = [parameter(x) for x in xs]
+        outs = [ffn(x, group.tensors, "ff") for x in inputs]
+        loss = sum(((out * Tensor(g)).sum() for out, g in zip(outs, gs)), Tensor(0.0))
+        loss.backward()
+        grads.append(([out.data for out in outs], [x.grad for x in inputs],
+                      [t.grad for t in group.tensors.values()]))
+    (out_f, dx_f, dp_f), (out_p, dx_p, dp_p) = grads
+    for got, expected in zip(out_f + dx_f + dp_f, out_p + dx_p + dp_p):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expected)
+    if uses == 1:                         # and the reference formulas
+        w1, b1, w2, b2 = (t.data for t in plain.tensors.values())
+        pre = np.matmul(xs[0], w1) + b1
+        out, dh, dw2, db2 = ref_linear(ref_gelu(pre), w2, b2, gs[0])
+        _, dx, dw1, db1 = ref_linear(xs[0], w1, b1, ref_gelu_backward(pre, dh))
+        for got, expected in zip(out_f + dx_f + dp_f, (out, dx, dw1, db1, dw2, db2)):
+            np.testing.assert_array_equal(got, expected)

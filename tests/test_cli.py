@@ -472,6 +472,17 @@ class TestHeldOutLeftOutOfPretraining:
         assert err == "error: datasets too short to segment: ['home1']\n"
         assert not (workspace / "out").exists()
 
+    def test_too_short_dataset_is_one_line_in_a_shell(self, workspace, homes):
+        # a subprocess, so stderr is what a shell sees, warnings included
+        argv = ["pretrain", "--config", "run.cfg", "--set", "segmentation.n=200",
+                "--set", "paths.datasets=home1.csv,home2.csv,home3.csv"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-m", "domusfm.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == EXIT_DATA
+        assert result.stderr == "error: datasets too short to segment: ['home1']\n"
+        assert not (workspace / "out").exists()
+
 
 class TestBadCheckpoint:
     @pytest.fixture

@@ -1,6 +1,7 @@
 """Augmentations, InfoNCE closed forms and gradients, the two-phase pretrain loop."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from conftest import toy_config, toy_window
 from domusfm.autodiff import Tensor, grad_check, parameter, precision
+from domusfm.benchmark import three_home_corpus
 from domusfm.embeddings import fallback_table
-from domusfm.event_encoder import N_SLOTS
+from domusfm.event_encoder import N_SLOTS, ModelConfig
 from domusfm.ingest import ActivityScript, SyntheticHomeSpec, SyntheticSensor, Visit, generate_synthetic_corpus
 from domusfm.model import EVENT_GROUP, Model
 from domusfm.pretraining import (
@@ -18,6 +20,7 @@ from domusfm.pretraining import (
     PretrainConfig,
     augment_mask_attribute,
     augment_mask_event,
+    contrastive_loss,
     infonce,
     loss_history_csv,
     pretrain,
@@ -267,3 +270,27 @@ class TestPretrain:
         assert lines[0] == "phase,epoch,step,loss"
         assert lines[1].startswith("1,0,0,0.5")
         assert len(lines) == 3
+
+
+def test_desk_phase2_step_memory_peak():
+    # One phase-2 step at the benchmark's desk size (d=64, 2 layers, batch 64,
+    # N=30): numpy's peak from the loss to the end of backward is about 27 MB
+    # with feed-forward blocks that recompute their hidden activations, 48 MB
+    # when each kept its pre-activation, GELU's tanh and GELU's output.
+    model = Model.init(ModelConfig(d=64, heads=4, layers=2, n_window=30), seed=0)
+    windows = []
+    for ds in three_home_corpus(days=2, seed=0)[:2]:
+        model.add_stream_features(ds.name, ds.stream.events)
+        windows += segment_events(ds.stream, 30, 29, dataset=ds.name)[::4][:32]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss = contrastive_loss(model, windows, 2, PretrainConfig(batch_size=64),
+                                np.random.default_rng(0))
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 64
+    assert peak < 36e6

@@ -5,9 +5,11 @@ and a closure that propagates gradients to them. ``Tensor.backward`` replays
 the tape in reverse topological order and then frees it. A closure keeps only
 the arrays its formula reads (the other operand of a product, a softmax's own
 output), never the input tensors, so an intermediate that no backward reads is
-freed as soon as the op that consumed it returns. float32 is the working
-precision; switch to float64 (``precision``) for finite-difference gradient
-checking.
+freed as soon as the op that consumed it returns. The ops here are the
+general primitives; the layers in ``nn`` (the affine map, layer norm, the
+feed-forward block) record their own nodes with ``_make``. float32 is the
+working precision; switch to float64 (``precision``) for finite-difference
+gradient checking.
 """
 
 from __future__ import annotations
@@ -323,27 +325,6 @@ def power(a, p: float) -> Tensor:
     return _make(x ** p, (node,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    node = a.node
-    data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(node, g * data)
-
-    return _make(data, (node,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    node, x = a.node, a.data
-
-    def backward(g):
-        _accumulate(node, g / x)
-
-    return _make(np.log(x), (node,), backward)
-
-
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
@@ -424,28 +405,18 @@ def softplus(a) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
-def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of a shared 2-D weight in ``a @ w``: one GEMM over all rows,
-    not a stack of per-batch products summed afterwards."""
-    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     na, nb, sa, sb = a.node, b.node, a.shape, b.shape
     # each operand's gradient reads the other operand
     bt = np.swapaxes(b.data, -1, -2) if na is not None else None
-    av = a.data if nb is not None else None
+    at = np.swapaxes(a.data, -1, -2) if nb is not None else None
 
     def backward(g):
         if na is not None:
             _accumulate(na, _unbroadcast(np.matmul(g, bt), sa))
         if nb is not None:
-            if len(sb) == 2 and len(sa) > 2:
-                gb = _weight_grad(av, g)
-            else:
-                gb = np.matmul(np.swapaxes(av, -1, -2), g)
-            _accumulate(nb, _unbroadcast(gb, sb))
+            _accumulate(nb, _unbroadcast(np.matmul(at, g), sb))
 
     return _make(np.matmul(a.data, b.data), (na, nb), backward)
 

@@ -223,35 +223,53 @@ def read_table(path: str):
 
 
 def home_spec_from_json(blob: bytes) -> SyntheticHomeSpec:
+    """The home spec in a JSON document, its values as JSON gave them.
+
+    Lists become tuples and nothing else is converted, so a value of the wrong
+    type reaches ``SyntheticHomeSpec.validate``, whose message names its path.
+    A missing required key, or a ``sensors``, ``activities`` or ``visits``
+    value that is not a list of objects, is reported here by its path. An
+    optional key that is absent keeps the dataclass default.
+    """
     try:
         doc = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"home spec is not valid JSON: {exc}") from exc
-    try:
-        sensors = tuple(SyntheticSensor(
-            id=s["id"], sensor_type=s["sensor_type"],
-            house_item=s.get("house_item"), room=s.get("room"),
-        ) for s in doc["sensors"])
-        activities = tuple(ActivityScript(
-            name=a["name"],
-            visits=tuple(Visit(room=v["room"], item=v.get("item"),
-                               dwell=tuple(v.get("dwell", (60, 300))))
-                         for v in a["visits"]),
-            hour_ranges=tuple(tuple(r) for r in a["hour_ranges"]),
-            weekday_weights=tuple(a.get("weekday_weights", (1.0,) * 7)),
-        ) for a in doc["activities"])
-        return SyntheticHomeSpec(
-            name=doc.get("name", "synthetic"),
-            rooms=tuple(doc["rooms"]),
-            sensors=sensors,
-            activities=activities,
-            noise_rate=doc.get("noise_rate", 0.0),
-            duration_days=doc.get("duration_days", 7),
-            seed=doc.get("seed", 0),
-            start=doc.get("start", "2025-01-06T00:00:00"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"home spec missing or malformed field: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"home spec: expected a JSON object, got {doc!r}")
+    sensors = tuple(
+        SyntheticSensor(**_keys(s, p, ("id", "sensor_type"), ("house_item", "room")))
+        for p, s in _objects(doc, "sensors", ""))
+    activities = tuple(ActivityScript(
+        visits=tuple(Visit(**_keys(v, q, ("room",), ("item", "dwell")))
+                     for q, v in _objects(a, "visits", p)),
+        **_keys(a, p, ("name", "hour_ranges"), ("weekday_weights",)),
+    ) for p, a in _objects(doc, "activities", ""))
+    return SyntheticHomeSpec(
+        sensors=sensors, activities=activities, name=doc.get("name", "synthetic"),
+        **_keys(doc, "", ("rooms",), ("noise_rate", "duration_days", "seed", "start")))
+
+
+def _tuples(value):
+    """``value`` with a list, and each list directly inside it, made a tuple."""
+    if not isinstance(value, list):
+        return value
+    return tuple(tuple(v) if isinstance(v, list) else v for v in value)
+
+
+def _keys(obj: dict, path: str, required: tuple, optional: tuple) -> dict:
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ParseError(f"{path}{missing[0]}: required field missing")
+    return {key: _tuples(obj[key]) for key in required + optional if key in obj}
+
+
+def _objects(obj: dict, key: str, path: str) -> list[tuple[str, dict]]:
+    """(JSON path prefix, object) for each object listed under ``obj[key]``."""
+    items = _keys(obj, path, (key,), ())[key]
+    if not isinstance(items, tuple) or not all(isinstance(item, dict) for item in items):
+        raise ParseError(f"{path}{key}: expected a list of objects, got {items!r}")
+    return [(f"{path}{key}[{i}].", item) for i, item in enumerate(items)]
 
 
 # -- commands --------------------------------------------------------------------

@@ -8,6 +8,7 @@ the desk-scale stand-in for real recorded corpora.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -169,39 +170,96 @@ class SyntheticHomeSpec:
     start: str = "2025-01-06T00:00:00"  # a Monday
 
     def validate(self):
-        if not self.rooms:
-            raise ValueError("home spec needs at least one room")
-        if not self.sensors:
-            raise ValueError("home spec needs at least one sensor")
-        if not self.activities:
-            raise ValueError("home spec needs at least one activity")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError("noise_rate must be in [0, 1]")
-        if self.duration_days < 1:
-            raise ValueError("duration_days must be >= 1")
-        ids = [s.id for s in self.sensors]
-        if len(set(ids)) != len(ids):
-            raise ValueError("sensor ids must be unique")
-        rooms = set(self.rooms)
-        for sensor in self.sensors:
-            if sensor.room is not None and sensor.room not in rooms:
-                raise ValueError(f"sensor {sensor.id!r} references unknown room {sensor.room!r}")
-        for script in self.activities:
-            if not script.hour_ranges:
-                raise ValueError(f"activity {script.name!r} has an empty schedule")
-            if not script.visits:
-                raise ValueError(f"activity {script.name!r} has no visits")
-            if len(script.weekday_weights) != 7:
-                raise ValueError(f"activity {script.name!r} needs 7 weekday weights")
-            for w in script.weekday_weights:
-                if not 0.0 <= w <= 1.0:
-                    raise ValueError(f"activity {script.name!r}: weight {w} outside [0, 1]")
-            for lo, hi in script.hour_ranges:
-                if not (0 <= lo <= 23 and 0 <= hi <= 24) or lo == hi:
-                    raise ValueError(f"activity {script.name!r}: bad hour range ({lo}, {hi})")
-            for visit in script.visits:
-                if visit.dwell[0] < 1 or visit.dwell[1] < visit.dwell[0]:
-                    raise ValueError(f"activity {script.name!r}: bad dwell {visit.dwell}")
+        """Check each field's type and range; a message names its JSON path,
+        e.g. ``activities[0].visits[0].dwell: expected two integers ...``."""
+        _check(isinstance(self.name, str), "name", "a string", self.name)
+        _check(_is_tuple(self.rooms, lambda r: isinstance(r, str)), "rooms",
+               "a non-empty list of strings", self.rooms)
+        _check(_is_tuple(self.sensors, lambda s: isinstance(s, SyntheticSensor)), "sensors",
+               "a non-empty list of sensors", self.sensors)
+        _check(_is_tuple(self.activities, lambda a: isinstance(a, ActivityScript)),
+               "activities", "a non-empty list of activities", self.activities)
+        _check(_is_real(self.noise_rate) and 0.0 <= self.noise_rate <= 1.0, "noise_rate",
+               "a number in [0, 1]", self.noise_rate)
+        _check(_is_int(self.duration_days) and 1 <= self.duration_days <= MAX_DURATION_DAYS,
+               "duration_days", f"an integer in [1, {MAX_DURATION_DAYS}]", self.duration_days)
+        _check(_is_int(self.seed) and self.seed >= 0, "seed", "a non-negative integer",
+               self.seed)
+        _check(_is_timestamp(self.start), "start",
+               "a YYYY-MM-DDTHH:MM:SS time after 1970-01-01", self.start)
+        ids = set()
+        for i, sensor in enumerate(self.sensors):
+            path = f"sensors[{i}]"
+            _check(isinstance(sensor.id, str) and sensor.id not in ids, f"{path}.id",
+                   "a string unique among the sensors", sensor.id)
+            ids.add(sensor.id)
+            _check(isinstance(sensor.sensor_type, str), f"{path}.sensor_type", "a string",
+                   sensor.sensor_type)
+            _check(_is_optional_str(sensor.house_item), f"{path}.house_item",
+                   "a string or null", sensor.house_item)
+            _check(sensor.room is None or sensor.room in self.rooms, f"{path}.room",
+                   "null or one of the rooms", sensor.room)
+        for i, script in enumerate(self.activities):
+            path = f"activities[{i}]"
+            _check(isinstance(script.name, str), f"{path}.name", "a string", script.name)
+            _check(_is_tuple(script.visits, lambda v: isinstance(v, Visit)), f"{path}.visits",
+                   "a non-empty list of visits", script.visits)
+            _check(_is_tuple(script.hour_ranges, _is_hour_range), f"{path}.hour_ranges",
+                   "a non-empty schedule of [start, end] hours, start 0..23, end 0..24, "
+                   "end != start", script.hour_ranges)
+            _check(_is_tuple(script.weekday_weights, lambda w: _is_real(w) and 0.0 <= w <= 1.0)
+                   and len(script.weekday_weights) == 7, f"{path}.weekday_weights",
+                   "7 numbers in [0, 1]", script.weekday_weights)
+            for j, visit in enumerate(script.visits):
+                _check(isinstance(visit.room, str), f"{path}.visits[{j}].room", "a string",
+                       visit.room)
+                _check(_is_optional_str(visit.item), f"{path}.visits[{j}].item",
+                       "a string or null", visit.item)
+                _check(_is_int_pair(visit.dwell) and 1 <= visit.dwell[0] <= visit.dwell[1],
+                       f"{path}.visits[{j}].dwell", "two integers 1 <= min <= max",
+                       visit.dwell)
+
+
+MAX_DURATION_DAYS = 3650
+"""Ten years: the longest simulation ``SyntheticHomeSpec.validate`` accepts."""
+
+
+def _check(ok: bool, path: str, expected: str, value):
+    if not ok:
+        raise ValueError(f"{path}: expected {expected}, got {value!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_int_pair(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and all(_is_int(x) for x in v)
+
+
+def _is_hour_range(v) -> bool:
+    return _is_int_pair(v) and 0 <= v[0] <= 23 and 0 <= v[1] <= 24 and v[0] != v[1]
+
+
+def _is_optional_str(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+def _is_tuple(v, element_ok) -> bool:
+    """A non-empty tuple whose elements all pass ``element_ok``."""
+    return isinstance(v, tuple) and len(v) > 0 and all(element_ok(x) for x in v)
+
+
+def _is_timestamp(text) -> bool:
+    try:
+        parse_iso_timestamp(text)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def _sensors_for_visit(spec: SyntheticHomeSpec, visit: Visit):

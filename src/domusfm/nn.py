@@ -2,7 +2,9 @@
 
 All layers are plain functions over :class:`~domusfm.autodiff.Tensor` values;
 parameters live in named :class:`ParamGroup` objects so that the optimizer and
-checkpoints operate on whole groups.
+checkpoints operate on whole groups. The affine map ``x @ W + b`` is written
+once, as ``_affine`` and ``_affine_grads``, which ``linear`` and
+``feed_forward`` share.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .autodiff import (
     _gelu_slope,
     _make,
     _unbroadcast,
-    _weight_grad,
     as_tensor,
     gelu,
     matmul,
@@ -101,31 +102,46 @@ def init_attention(group: ParamGroup, name: str, d: int, rng: np.random.Generato
 # -- layers ------------------------------------------------------------------
 
 
-def linear(x, w, b) -> Tensor:
-    """x @ w + b with an explicit conformance check.
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b``, the bias added into the GEMM output in place."""
+    out = np.matmul(x, w)
+    out += b
+    return out
 
-    The bias is added into the GEMM output in place. The tape keeps the two
-    nodes of ``add(matmul(x, w), b)``, so gradients accumulate in the same
-    order; the matmul node's data is the sum, which is safe because its
-    backward reads only ``x`` and ``w``.
+
+def _affine_grads(g: np.ndarray, x: np.ndarray, nw, nb, bshape: tuple):
+    """Accumulate the gradients of ``b`` and ``w`` in ``x @ w + b`` from ``g``.
+
+    W's gradient is one GEMM over all rows of a batched ``x``, not a stack of
+    per-batch products summed afterwards.
+    """
+    if nb is not None:
+        _accumulate(nb, _unbroadcast(g, bshape))
+    if nw is not None:
+        _accumulate(nw, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for a 2-D weight, one tape node, with a conformance check.
+
+    The closure keeps ``x`` only when ``w`` needs a gradient and ``w`` only
+    when ``x`` does.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[-1]:
         raise ValueError(
             f"linear shape mismatch: x{list(x.shape)} @ w{list(w.shape)} + b{list(b.shape)}"
         )
-    h = matmul(x, w)
-    data = h.data
-    data += b.data
-    nh, nb, sb = h.node, b.node, b.shape
+    nx, nw, nb, bshape = x.node, w.node, b.node, b.shape
+    xv = x.data if nw is not None else None
+    wt = w.data.T if nx is not None else None
 
     def backward(g):
-        if nh is not None:
-            _accumulate(nh, g)
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(g, sb))
+        _affine_grads(g, xv, nw, nb, bshape)
+        if nx is not None:
+            _accumulate(nx, np.matmul(g, wt))
 
-    return _make(data, (nh, nb), backward)
+    return _make(_affine(x.data, w.data, b.data), (nx, nw, nb), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -220,34 +236,21 @@ def feed_forward(x, params: dict[str, Tensor], prefix: str) -> Tensor:
                          f"w1{list(w1v.shape)}, b1{list(b1v.shape)}, "
                          f"w2{list(w2v.shape)}, b2{list(b2v.shape)}")
 
-    def hidden_pre():
-        pre = np.matmul(xv, w1v)
-        pre += b1v
-        return pre
-
     # ``gelu`` is the module attribute, off the tape: instrumentation that
     # rebinds it times the forward's activation
-    data = np.matmul(gelu(_make(hidden_pre(), (), None)).data, w2v)
-    data += b2v
+    data = _affine(gelu(_make(_affine(xv, w1v, b1v), (), None)).data, w2v, b2v)
     nx, nw1, nb1, nw2, nb2 = x.node, w1.node, b1.node, w2.node, b2.node
 
     def backward(g):
-        if nb2 is not None:
-            _accumulate(nb2, _unbroadcast(g, b2v.shape))
-        g = np.asarray(g, order="C")    # as ff.2's GEMM node would store it
-        pre = hidden_pre()
+        pre = _affine(xv, w1v, b1v)
         t, h = _gelu_forward(pre)
-        if nw2 is not None:
-            _accumulate(nw2, _weight_grad(h, g))
+        _affine_grads(g, h, nw2, nb2, b2v.shape)
         dpre = _gelu_slope(pre, t, out=h, du=pre)
         del pre, t
         dpre *= np.matmul(g, w2v.T)
-        if nb1 is not None:
-            _accumulate(nb1, _unbroadcast(dpre, b1v.shape))
+        _affine_grads(dpre, xv, nw1, nb1, b1v.shape)
         if nx is not None:
             _accumulate(nx, np.matmul(dpre, w1v.T))
-        if nw1 is not None:
-            _accumulate(nw1, _weight_grad(xv, dpre))
 
     return _make(data, (nx, nw1, nb1, nw2, nb2), backward)
 

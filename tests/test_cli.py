@@ -216,6 +216,29 @@ class TestSynth:
     def test_missing_spec_is_data_error(self, workspace):
         assert main(["synth", "--spec", "ghost.json", "--out", "x.csv"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("path, value", [
+        ("start", 2.5), ("start", None),
+        ("duration_days", "x"), ("duration_days", None), ("duration_days", 3651),
+        ("noise_rate", "x"), ("seed", "x"), ("seed", 2.5),
+        ("activities[0].visits[0].dwell", ["a", "b"]), ("activities[0].visits[0].dwell", [1]),
+        ("activities[0].weekday_weights", ["a"] * 7), ("sensors[0].id", 5),
+        ("activities[0].hour_ranges", [[1]]), ("rooms", "kitchen"),
+    ])
+    def test_malformed_field_is_one_line_naming_its_path(self, workspace, capsys, path,
+                                                         value):
+        spec = json.loads(json.dumps(HOME_SPEC))
+        *parents, key = path.replace("[", ".").replace("]", "").split(".")
+        obj = spec
+        for part in parents:
+            obj = obj[int(part) if part.isdigit() else part]
+        obj[key] = value
+        (workspace / "bad.json").write_text(json.dumps(spec))
+        assert main(["synth", "--spec", "bad.json", "--out", "never.csv"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1
+        assert err.startswith(f"error: {path}: expected ")
+        assert not (workspace / "never.csv").exists()
+
 
 class TestEmbedTableCheck:
     def test_valid_table(self, workspace, capsys):

@@ -6,10 +6,12 @@ the tape in reverse topological order and then frees it. A closure keeps only
 the arrays its formula reads (the other operand of a product, a softmax's own
 output), never the input tensors, so an intermediate that no backward reads is
 freed as soon as the op that consumed it returns. The ops here are the
-general primitives; the layers in ``nn`` (the affine map, layer norm, the
-feed-forward block) record their own nodes with ``_make``. float32 is the
-working precision; switch to float64 (``precision``) for finite-difference
-gradient checking.
+general primitives, plus two fused ones: ``l2_normalize`` and
+``cross_entropy``, the one loss op that InfoNCE and both task heads call. The
+layers in ``nn`` (the affine map, layer norm, the feed-forward block) record
+their own nodes with ``_make``. There is no division, negation or power node:
+a constant factor is a ``mul``. float32 is the working precision; switch to
+float64 (``precision``) for finite-difference gradient checking.
 """
 
 from __future__ import annotations
@@ -164,15 +166,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -287,42 +280,6 @@ def mul(a, b) -> Tensor:
             _accumulate(nb, _unbroadcast(g * av, sb))
 
     return _make(a.data * b.data, (na, nb), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
-    bv = b.data
-    av = a.data if nb is not None else None
-
-    def backward(g):
-        if na is not None:
-            _accumulate(na, _unbroadcast(g / bv, sa))
-        if nb is not None:
-            _accumulate(nb, _unbroadcast(-g * av / (bv * bv), sb))
-
-    return _make(a.data / b.data, (na, nb), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    node = a.node
-
-    def backward(g):
-        _accumulate(node, -g)
-
-    return _make(-a.data, (node,), backward)
-
-
-def power(a, p: float) -> Tensor:
-    """Elementwise a**p for a constant exponent."""
-    a = as_tensor(a)
-    node, x = a.node, a.data
-
-    def backward(g):
-        _accumulate(node, g * p * x ** (p - 1.0))
-
-    return _make(x ** p, (node,), backward)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -489,7 +446,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
 
 def getitem(a, idx) -> Tensor:
-    """Basic (non-repeating) indexing: slices, ints, tuples thereof."""
+    """Basic indexing only: slices, ints and tuples of them, never index arrays
+    (a row gather is ``take_rows``, one entry per row a ``cross_entropy`` target)."""
     a = as_tensor(a)
     node, shape, dtype = a.node, a.shape, a.data.dtype
 
@@ -555,25 +513,49 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (node,), backward)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
+    """Rows scaled to unit L2 norm, ``x / (sum(x * x) + eps) ** 0.5``, as one node.
+
+    The backward keeps the float order of the product, sum, power and quotient
+    it fuses: ``g / norm`` first, then ``gs * x`` once per factor of ``x * x``.
+    """
     a = as_tensor(a)
-    node = a.node
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
+    node, x = a.node, a.data
+    s = (x * x).sum(axis=axis, keepdims=True) + x.dtype.type(eps)
+    norm = s ** 0.5
 
     def backward(g):
-        _accumulate(node, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
+        gn = _unbroadcast(-g * x / (norm * norm), norm.shape)
+        gs = np.broadcast_to(gn * 0.5 * s ** -0.5, x.shape)
+        _accumulate(node, g / norm)
+        _accumulate(node, gs * x)
+        _accumulate(node, gs * x)
 
-    return _make(data, (node,), backward)
+    return _make(x / norm, (node,), backward)
 
 
-def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Rows scaled to unit L2 norm (differentiable composition)."""
-    a = as_tensor(a)
-    norm = power(tensor_sum(mul(a, a), axis=axis, keepdims=True) + eps, 0.5)
-    return div(a, norm)
+def cross_entropy(logits, target, axis: int = -1) -> Tensor:
+    """Mean over rows of ``-sum(target * log_softmax(logits), axis)``, as one node.
 
+    ``target`` is a constant array of ``logits``' shape holding a distribution
+    per row along ``axis``: one-hot, soft, or all zeros (the row adds nothing
+    to the sum but still counts toward the mean). The float order is that of
+    log-softmax, the product with ``target``, the sum along ``axis``, then the
+    mean over rows and the negation.
+    """
+    logits = as_tensor(logits)
+    node, x = logits.node, logits.data
+    t = np.asarray(target, dtype=x.dtype)
+    shifted = x - x.max(axis=axis, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    rows = (logp * t).sum(axis=axis)
+    scale = x.dtype.type(1.0 / rows.size)
+
+    def backward(g):
+        grow = -g * scale * t
+        _accumulate(node, grow - np.exp(logp) * grow.sum(axis=axis, keepdims=True))
+
+    return _make(-(rows.sum() * scale), (node,), backward)
 
 # -- gradient checking -------------------------------------------------------
 

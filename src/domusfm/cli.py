@@ -15,6 +15,8 @@ their seeds from ``protocol.seeds``. ``pretrain`` leaves out the dataset
 ``protocol.held_out`` (``--held-out`` overrides it): the commands run the steps
 of ``evaluation.lodo_run``. All outputs are written atomically (temp file +
 rename). Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+A data file or output path the OS refuses (missing, a directory, under a file)
+is a data error; a config file that cannot be read or decoded is a usage error.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ FIELDS: dict[str, tuple[type, str]] = {
     "pretrain.epochs_phase2": (PretrainConfig, "epochs_phase2"),
     "pretrain.lr": (PretrainConfig, "lr"),
     "pretrain.windows_per_dataset": (PretrainConfig, "windows_per_dataset"),
-    "pretrain.symmetric": (PretrainConfig, "symmetric"),
     "finetune.strategy": (FinetuneSettings, "strategy"),
     "finetune.epochs": (FinetuneSettings, "epochs"),
     "finetune.batch_size": (FinetuneSettings, "batch_size"),
@@ -141,7 +142,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().split("\n")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config {path!r}: {exc}") from exc
         items = [(f"{path}:{lineno}", line.strip())
                  for lineno, line in enumerate(lines, start=1)
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, CheckpointError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax, no_grad, softplus, tensor_mean, tensor_sum
+from .autodiff import Tensor, cross_entropy, no_grad, softplus, tensor_mean
 from .events import EventStream
 from .model import Model
 from .nn import NumericError, ParamGroup, adam_step, check_lr, init_adam, init_linear, linear
@@ -214,9 +214,7 @@ class TrainItem:
 
 
 def adl_loss(pooled: Tensor, label_ids: np.ndarray, head: AdlHead) -> Tensor:
-    logp = log_softmax(adl_logits(pooled, head), axis=-1)
-    picked = logp[(np.arange(len(label_ids)), label_ids)]
-    return -(picked.mean())
+    return cross_entropy(adl_logits(pooled, head), np.eye(len(head.classes))[label_ids])
 
 
 def nextk_loss(pooled: Tensor, target_counts: np.ndarray, head: NextKHead,
@@ -224,12 +222,10 @@ def nextk_loss(pooled: Tensor, target_counts: np.ndarray, head: NextKHead,
     """Type cross-entropy against normalized counts plus count MSE."""
     k_totals = target_counts.sum(axis=1, keepdims=True)
     type_dist = target_counts / np.maximum(k_totals, 1.0)
-    logp = log_softmax(linear(pooled, head.params["types.w"], head.params["types.b"]),
-                       axis=-1)
-    ce = -(tensor_sum(logp * Tensor(type_dist), axis=-1).mean())
-    predicted = expected_counts(pooled, head)
-    mse = tensor_mean((predicted - Tensor(target_counts)) * (predicted - Tensor(target_counts)))
-    return ce + mse * count_loss_weight
+    ce = cross_entropy(linear(pooled, head.params["types.w"], head.params["types.b"]),
+                       type_dist)
+    r = expected_counts(pooled, head) - Tensor(target_counts)
+    return ce + tensor_mean(r * r) * count_loss_weight
 
 
 def batched_pooled(model: Model, windows: Sequence[Window], chunk: int = 256) -> np.ndarray:

@@ -211,13 +211,16 @@ class SyntheticHomeSpec:
                    and len(script.weekday_weights) == 7, f"{path}.weekday_weights",
                    "7 numbers in [0, 1]", script.weekday_weights)
             for j, visit in enumerate(script.visits):
-                _check(isinstance(visit.room, str), f"{path}.visits[{j}].room", "a string",
-                       visit.room)
+                _check(isinstance(visit.room, str) and visit.room in self.rooms,
+                       f"{path}.visits[{j}].room", "one of the rooms", visit.room)
                 _check(_is_optional_str(visit.item), f"{path}.visits[{j}].item",
                        "a string or null", visit.item)
                 _check(_is_int_pair(visit.dwell) and 1 <= visit.dwell[0] <= visit.dwell[1],
                        f"{path}.visits[{j}].dwell", "two integers 1 <= min <= max",
                        visit.dwell)
+                _check(any(_sensors_for_visit(self, visit)), f"{path}.visits[{j}]",
+                       "a visit that triggers a sensor (a motion sensor in its room, "
+                       "or a sensor on its item)", visit)
 
 
 MAX_DURATION_DAYS = 3650

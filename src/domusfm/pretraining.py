@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, l2_normalize, log_softmax, matmul, no_grad, transpose
+from .autodiff import Tensor, cross_entropy, l2_normalize, matmul, no_grad, transpose
 from .event_encoder import N_SLOTS
 from .ingest import build_sampling_plan
 from .model import CONTEXT_GROUP, EVENT_GROUP, Model
@@ -46,7 +46,6 @@ class PretrainConfig:
     epochs_phase2: int = 3
     lr: float = 1e-3
     windows_per_dataset: int = 0  # 0: size of the largest dataset
-    symmetric: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -86,12 +85,13 @@ def augment_mask_event(window: Window, p_event_mask: float,
     return mask
 
 
-def infonce(anchors: Tensor, positives: Tensor, temperature: float,
-            symmetric: bool = True) -> Tensor:
-    """InfoNCE over cosine similarities; in-batch negatives.
+def infonce(anchors: Tensor, positives: Tensor, temperature: float) -> Tensor:
+    """Symmetric InfoNCE over cosine similarities; in-batch negatives.
 
     anchors/positives are (B, d); row i of each side is a positive pair,
-    every other row a negative. ``symmetric`` averages both directions.
+    every other row a negative. The loss averages the cross-entropy of each
+    anchor against the positives (rows of the similarity matrix) and of each
+    positive against the anchors (its columns); the target is the diagonal.
     """
     b = anchors.shape[0]
     if b < 2:
@@ -101,11 +101,8 @@ def infonce(anchors: Tensor, positives: Tensor, temperature: float,
     a_n = l2_normalize(anchors, axis=-1)
     p_n = l2_normalize(positives, axis=-1)
     sim = matmul(a_n, transpose(p_n, (1, 0))) * (1.0 / temperature)
-    diag = (np.arange(b), np.arange(b))
-    loss = -(log_softmax(sim, axis=1)[diag].mean())
-    if symmetric:
-        loss = (loss + -(log_softmax(sim, axis=0)[diag].mean())) * 0.5
-    return loss
+    eye = np.eye(b)
+    return (cross_entropy(sim, eye, axis=1) + cross_entropy(sim, eye, axis=0)) * 0.5
 
 
 @dataclass
@@ -149,7 +146,7 @@ def contrastive_loss(model: Model, windows: Sequence[Window], phase: int,
     else:  # one context pass per view keeps the float order of the gradient sums
         anchors, positives = (pool_sequence(model.contextualize(view))
                               for view in (rows[:b], rows[b:]))
-    return infonce(anchors, positives, config.temperature, config.symmetric)
+    return infonce(anchors, positives, config.temperature)
 
 
 def _batches(draws: list[tuple[str, int]], size: int):

@@ -40,10 +40,10 @@ class TestPrimitiveGradients:
     def test_elementwise(self, seed):
         def build(rng):
             a = parameter(rng.normal(size=(3, 4)))
-            b = parameter(rng.normal(size=(3, 4)) + 3.0)  # keep b away from 0 for div
+            b = parameter(rng.normal(size=(3, 4)))
 
             def f():
-                out = (a * b + a - b) / b + ad.power(b, 1.5)
+                out = (a * b + a - b) * ad.l2_normalize(b, axis=0)
                 return _projected_sum(out, np.random.default_rng(seed + 100))
 
             return [a, b], f
@@ -163,14 +163,39 @@ class TestPrimitiveGradients:
     def test_softmax_families(self, seed):
         def build(rng):
             a = parameter(rng.normal(size=(3, 5)))
+            target = rng.dirichlet(np.ones(5), size=3)
 
             def f():
-                out = ad.softmax(a, axis=-1) + ad.log_softmax(a, axis=-1)
-                return _projected_sum(out, np.random.default_rng(seed + 100))
+                return (_projected_sum(ad.softmax(a, axis=-1), np.random.default_rng(seed + 100))
+                        + ad.cross_entropy(a, target, axis=-1))
 
             return [a], f
 
         assert _check(build, seed) < TOL
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("axis", (0, -1))
+    @pytest.mark.parametrize("kind", ("one_hot", "soft"))
+    def test_cross_entropy(self, seed, axis, kind):
+        # (4, 5) logits: 4 rows of 5 classes along axis -1, 5 rows of 4 along 0
+        rows, classes = (5, 4) if axis == 0 else (4, 5)
+        rng = np.random.default_rng(seed)
+        dist = (np.eye(classes)[rng.integers(classes, size=rows)] if kind == "one_hot"
+                else rng.dirichlet(np.ones(classes), size=rows))
+        dist[1] = 0.0                     # a row that adds nothing but counts in the mean
+        target = dist.T if axis == 0 else dist
+
+        def build(rng):
+            a = parameter(rng.normal(size=(4, 5)) * 2.0)
+            return [a], lambda: ad.cross_entropy(a, target, axis=axis)
+
+        assert _check(build, seed) < TOL
+        with precision("float64"):
+            x = rng.normal(size=(4, 5))
+            shifted = x - x.max(axis=axis, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+            expected = -(target * logp).sum() / rows
+            assert ad.cross_entropy(x, target, axis=axis).item() == pytest.approx(expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_softmax_middle_axis(self, seed):

@@ -6,7 +6,8 @@ formulas below. These references are the formulas the ops replaced; every
 checkpoint, loss CSV and benchmark digest depends on the ops reproducing them
 exactly at float32, forward and backward. ``feed_forward`` recomputes its
 hidden activations in backward and must match the ``linear -> gelu -> linear``
-tape it replaced.
+tape it replaced. ``l2_normalize`` and ``cross_entropy`` are single nodes in
+place of tapes of small ops; their references replay those tapes in numpy.
 """
 
 import numpy as np
@@ -68,6 +69,42 @@ def ref_linear(x, w, b, g):
     k, m = w.shape
     dw = x.reshape(-1, k).T @ g.reshape(-1, m) if x.ndim > 2 else np.matmul(x.T, g)
     return out, dx, dw, ref_unbroadcast(g, b.shape)
+
+
+def ref_l2_normalize(x, g, axis=-1, eps=1e-12):
+    """The tape ``x / power(sum(x * x) + eps, 0.5)``: quotient, power, sum, product."""
+    s = (x * x).sum(axis=axis, keepdims=True) + np.float32(eps)
+    norm = s ** 0.5
+    dnorm = (-g * x / (norm * norm)).sum(axis=axis, keepdims=True)
+    ds = np.broadcast_to(dnorm * 0.5 * s ** (0.5 - 1.0), x.shape).copy()
+    # the quotient's gradient reaches x first, then each factor of x * x
+    return x / norm, g / norm + ds * x + ds * x
+
+
+def _log_softmax(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def ref_cross_entropy_picked(x, idx, axis, g):
+    """The tape ``-(log_softmax(x)[idx].mean())`` of InfoNCE and the ADL loss."""
+    logp = _log_softmax(x, axis)
+    picked = logp[idx]
+    scale = np.float32(1.0 / picked.size)
+    dlogp = np.zeros_like(x)
+    dlogp[idx] = -g * scale
+    return (-(picked.sum() * scale),
+            dlogp - np.exp(logp) * dlogp.sum(axis=axis, keepdims=True))
+
+
+def ref_cross_entropy_soft(x, dist, g):
+    """The tape ``-(sum(log_softmax(x) * dist, -1).mean())`` of the next-k loss."""
+    logp = _log_softmax(x, -1)
+    rows = (logp * dist).sum(axis=-1)
+    scale = np.float32(1.0 / rows.size)
+    dlogp = np.broadcast_to(-g * scale, x.shape) * dist
+    return (-(rows.sum() * scale),
+            dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True))
 
 
 def _f32(rng, shape, scale=1.0):
@@ -219,3 +256,62 @@ def test_feed_forward_matches_three_op_tape(b, n, uses):
         _, dx, dw1, db1 = ref_linear(xs[0], w1, b1, ref_gelu_backward(pre, dh))
         for got, expected in zip(out_f + dx_f + dp_f, (out, dx, dw1, db1, dw2, db2)):
             np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("shape, axis", [((64, 128), -1), ((64, 1), -1), ((8, 64), 0)])
+def test_l2_normalize_matches_reference(shape, axis):
+    rng = np.random.default_rng(5)
+    x = _f32(rng, shape, 3.0)
+    x[0] = 0.0                            # a zero row: the norm is sqrt(eps)
+    g = _f32(rng, shape)
+    a = parameter(x)
+    out = ad.l2_normalize(a, axis=axis)
+    ref_out, dx = ref_l2_normalize(x, g, axis)
+    np.testing.assert_array_equal(out.data, ref_out)
+    _backprop(out, g)
+    np.testing.assert_array_equal(a.grad, dx)
+
+
+@pytest.mark.parametrize("temperature", [0.05, 0.1, 0.7, 1.0])
+@pytest.mark.parametrize("axis", [1, 0])
+def test_cross_entropy_matches_infonce_tape(temperature, axis):
+    # one direction of InfoNCE: the diagonal of a similarity matrix picked
+    rng = np.random.default_rng(6)
+    b = 64
+    sim = (np.tanh(_f32(rng, (b, b))) * np.float32(1.0 / temperature)).astype(np.float32)
+    for g in (np.float32(0.5), np.float32(1.0)):
+        a = parameter(sim)
+        out = ad.cross_entropy(a, np.eye(b), axis=axis)
+        ref_out, dx = ref_cross_entropy_picked(sim, (np.arange(b), np.arange(b)), axis, g)
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, ref_out)
+        _backprop(out, g)
+        np.testing.assert_array_equal(a.grad, dx)
+
+
+def test_cross_entropy_matches_adl_tape():
+    rng = np.random.default_rng(7)
+    n, classes = 64, 9
+    logits = _f32(rng, (n, classes), 2.0)
+    ids = rng.integers(0, classes, size=n)
+    a = parameter(logits)
+    out = ad.cross_entropy(a, np.eye(classes)[ids])
+    ref_out, dx = ref_cross_entropy_picked(logits, (np.arange(n), ids), -1, np.float32(1.0))
+    np.testing.assert_array_equal(out.data, ref_out)
+    _backprop(out, np.float32(1.0))
+    np.testing.assert_array_equal(a.grad, dx)
+
+
+def test_cross_entropy_matches_nextk_tape():
+    rng = np.random.default_rng(8)
+    n, types = 64, 40
+    logits = _f32(rng, (n, types), 2.0)
+    counts = rng.integers(0, 3, size=(n, types)).astype(np.float64)
+    counts[::5] = 0.0                     # windows with no event in the horizon
+    dist = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
+    a = parameter(logits)
+    out = ad.cross_entropy(a, dist)       # a float64 target is cast, as Tensor() did
+    ref_out, dx = ref_cross_entropy_soft(logits, dist.astype(np.float32), np.float32(1.0))
+    np.testing.assert_array_equal(out.data, ref_out)
+    _backprop(out, np.float32(1.0))
+    np.testing.assert_array_equal(a.grad, dx)

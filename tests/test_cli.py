@@ -223,6 +223,7 @@ class TestSynth:
         ("activities[0].visits[0].dwell", ["a", "b"]), ("activities[0].visits[0].dwell", [1]),
         ("activities[0].weekday_weights", ["a"] * 7), ("sensors[0].id", 5),
         ("activities[0].hour_ranges", [[1]]), ("rooms", "kitchen"),
+        ("activities[0].visits[0].room", "garage"),
     ])
     def test_malformed_field_is_one_line_naming_its_path(self, workspace, capsys, path,
                                                          value):
@@ -238,6 +239,54 @@ class TestSynth:
         assert len(err.strip().split("\n")) == 1
         assert err.startswith(f"error: {path}: expected ")
         assert not (workspace / "never.csv").exists()
+
+    def test_visit_that_triggers_no_sensor_is_one_line(self, workspace, capsys):
+        # a room with no motion sensor and an item no sensor is on: before, the
+        # activity was dropped from the corpus without a word
+        spec = json.loads(json.dumps(HOME_SPEC))
+        spec["rooms"].append("garage")
+        spec["activities"][1]["visits"].append({"room": "garage", "item": "nothing"})
+        (workspace / "bad.json").write_text(json.dumps(spec))
+        assert main(["synth", "--spec", "bad.json", "--out", "never.csv"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1
+        assert err.startswith("error: activities[1].visits[1]: expected a visit that "
+                              "triggers a sensor")
+        assert not (workspace / "never.csv").exists()
+
+
+class TestOsErrors:
+    """A file the command cannot read or write is one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("case, code, needles", [
+        pytest.param(case, code, needles, id=case) for case, code, needles in (
+            ("checkpoint_is_a_directory", EXIT_DATA, ("Is a directory", "ckpt")),
+            ("out_dir_is_a_file", EXIT_DATA, ("File exists", "taken")),
+            ("out_dir_under_a_file", EXIT_DATA, ("Not a directory", "taken")),
+            ("config_not_utf8", EXIT_USAGE, ("cannot read config 'latin1.cfg'", "decode")),
+        )])
+    def test_is_one_line(self, workspace, capsys, case, code, needles):
+        for seed, name in ((1, "home1.csv"), (2, "home2.csv"), (7, "home3.csv")):
+            synth(workspace, name, seed=seed)
+        (workspace / "ckpt").mkdir()
+        (workspace / "taken").write_text("a file\n")
+        (workspace / "latin1.cfg").write_bytes(("# caf\xe9\n" + TINY_CFG).encode("latin-1"))
+        capsys.readouterr()
+        argv = {
+            "checkpoint_is_a_directory": ["eval", "--config", "run.cfg", "--checkpoint", "ckpt",
+                                          "--held-out", "home3"],
+            "out_dir_is_a_file": ["pretrain", "--config", "run.cfg",
+                                  "--set", "paths.out_dir=taken"],
+            "out_dir_under_a_file": ["pretrain", "--config", "run.cfg",
+                                     "--set", "paths.out_dir=taken/out"],
+            "config_not_utf8": ["pretrain", "--config", "latin1.cfg"],
+        }[case]
+        argv += ["--set", "paths.datasets=home1.csv,home2.csv,home3.csv"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
+        assert all(needle in err for needle in needles)
+        assert not (workspace / "out").exists()
 
 
 class TestEmbedTableCheck:

@@ -58,8 +58,9 @@ def test_pretrain_spans_carry_phase_labels():
 
 def test_tape_nodes_of_a_toy_pretraining_loss():
     # the tape of each phase's contrastive loss keeps its size when ops change
-    # what they save for backward; each linear and each of phase 2's two
-    # feed-forward blocks (one layer, two views) is one node
+    # what they save for backward; each linear, each of phase 2's two
+    # feed-forward blocks (one layer, two views), each l2_normalize and each
+    # direction's cross-entropy is one node
     tracing = load_tracing()
     config = toy_config(n_window=4)
     model = Model.init(config, fallback_table(config.text_dim()), seed=0)
@@ -70,4 +71,4 @@ def test_tape_nodes_of_a_toy_pretraining_loss():
     counts = [tracing.tape_nodes(pretraining.contrastive_loss(
         model, windows, phase, PretrainConfig(batch_size=8), np.random.default_rng(0)))
         for phase in (1, 2)]
-    assert counts == [124, 89]
+    assert counts == [108, 73]

@@ -151,32 +151,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)

@@ -60,7 +60,7 @@ class UsageError(ValueError):
 
 # Each config key that sets one dataclass field, which gives the key its default
 # and checks its value. ``seed`` also seeds ``Model.init``, which a checkpoint then
-# overwrites, and ``FinetuneSettings``, which ``protocol.seeds`` then overrides.
+# overwrites; fine-tuning takes its seeds from ``protocol.seeds``.
 FIELDS: dict[str, tuple[type, str]] = {
     "seed": (PretrainConfig, "seed"),
     "model.d": (ModelConfig, "d"),
@@ -181,7 +181,6 @@ def command_config(config: dict) -> LodoConfig:
     for key, (cls, name) in FIELDS.items():
         value = config[key]
         kwargs[cls][name] = tuple(value) if isinstance(value, list) else value
-    kwargs[FinetuneSettings]["seed"] = config["seed"]
     try:
         return LodoConfig(model=ModelConfig(**kwargs[ModelConfig]),
                           protocol=EvalProtocol(**kwargs[EvalProtocol]),
@@ -309,8 +308,9 @@ def cmd_pretrain(args, config: dict) -> int:
     result.model.save(ckpt)
     atomic_write(os.path.join(out_dir, "pretrain_loss.csv"),
                  [loss_history_csv(result.history).encode("utf-8")])
-    print(f"pretrained on {sorted(result.seen_datasets)}; "
-          f"final loss {result.history[-1].loss:.4f}")
+    final = (f"final loss {result.history[-1].loss:.4f}" if result.history
+             else "no pretraining step ran")
+    print(f"pretrained on {sorted(result.seen_datasets)}; {final}")
     print(f"checkpoint: {ckpt}")
     return EXIT_OK
 

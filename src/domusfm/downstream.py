@@ -1,8 +1,10 @@
 """Task heads and fine-tuning for ADL recognition and next-k event forecasting.
 
-Both heads consume the mean-pooled window representation. Next-k prediction
-is a bag-of-events problem: the model scores event types (sensor, status) and
-regresses expected counts, which are decoded to an integer multiset of total
+Both heads consume the mean-pooled window representation, and each head is
+one product over any number of pooled rows (..., d): the harness scores a
+whole test block at once. Next-k prediction is a bag-of-events problem: the
+model scores event types (sensor, status) and regresses expected counts, and
+``NextKHead.decode`` turns one row of them into an integer multiset of total
 k by largest-remainder apportionment.
 """
 
@@ -85,6 +87,11 @@ class NextKHead:
         if not self.vocabulary:
             raise ValueError("next-k head needs a nonempty event-type vocabulary")
 
+    def decode(self, expected: np.ndarray, k: int) -> EventMultiset:
+        """The exact-total-k multiset of one (V,) row of expected counts."""
+        counts = largest_remainder(expected, k).tolist()
+        return EventMultiset.from_dict({t: c for t, c in zip(self.vocabulary, counts) if c})
+
 
 def init_adl_head(classes: Sequence[str], d: int, seed: int = 0) -> AdlHead:
     group = ParamGroup(ADL_GROUP)
@@ -104,25 +111,20 @@ def init_nextk_head(vocabulary: Sequence[tuple[str, str]], d: int,
 # -- prediction ----------------------------------------------------------------
 
 
-def adl_logits(pooled: Tensor, head: AdlHead) -> Tensor:
+def adl_logits(pooled, head: AdlHead) -> Tensor:
     return linear(pooled, head.params["out.w"], head.params["out.b"])
 
 
-def _one_row(pooled) -> Tensor:
-    """A pooled (d,) row as a (1, d) tensor; any other shape is a ValueError."""
-    row = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
-    if row.ndim != 1:
-        raise ValueError(f"expected one pooled row of shape (d,), got shape {row.shape}")
-    return Tensor(row.data[None, :])
+def adl_predict(pooled, head: AdlHead) -> tuple[np.ndarray, np.ndarray]:
+    """(logits, argmax class index) of each pooled row of (..., d), in one product.
+
+    Ties break toward the lowest index.
+    """
+    logits = adl_logits(pooled, head).data
+    return logits, np.argmax(logits, axis=-1)
 
 
-def adl_predict(pooled, head: AdlHead) -> tuple[np.ndarray, int]:
-    """(logits, argmax class index) of one (d,) row; ties break toward the lowest index."""
-    logits = adl_logits(_one_row(pooled), head).data[0]
-    return logits, int(np.argmax(logits))
-
-
-def expected_counts(pooled: Tensor, head: NextKHead) -> Tensor:
+def expected_counts(pooled, head: NextKHead) -> Tensor:
     """Nonnegative expected per-type counts (softplus of the counts head)."""
     return softplus(linear(pooled, head.params["counts.w"], head.params["counts.b"]))
 
@@ -154,12 +156,9 @@ def largest_remainder(expected: np.ndarray, k: int) -> np.ndarray:
     return floors
 
 
-def nextk_predict(pooled, head: NextKHead, k: int) -> EventMultiset:
+def nextk_predict(row, head: NextKHead, k: int) -> EventMultiset:
     """Decode an exact-total-k multiset from the counts head for one (d,) row."""
-    scores = expected_counts(_one_row(pooled), head).data[0]
-    apportioned = largest_remainder(scores, k)
-    counts = {etype: int(c) for etype, c in zip(head.vocabulary, apportioned) if c > 0}
-    return EventMultiset.from_dict(counts)
+    return head.decode(expected_counts(row, head).data, k)
 
 
 def nextk_target(stream: EventStream, window_end_index: int, k: int) -> Optional[EventMultiset]:
@@ -281,7 +280,6 @@ def finetune(model: Model, train_set: Sequence[TrainItem], task: str,
     else:
         raise ValueError(f"unknown task {task!r}")
 
-    model.groups[head.params.name] = head.params
     for group in model.groups.values():  # no stale gradient trains or lingers
         group.zero_grad()
     windows = [item.window for item in train_set]

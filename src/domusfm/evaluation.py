@@ -20,8 +20,8 @@ from .downstream import (
     TrainItem,
     adl_predict,
     batched_pooled,
+    expected_counts,
     finetune,
-    nextk_predict,
     nextk_target,
 )
 from .event_encoder import ModelConfig
@@ -223,20 +223,17 @@ def eligible_nextk_items(windows: Sequence[Window], dataset: Dataset,
 
 def adl_predictions(model: Model, head: AdlHead,
                     items: Sequence[TrainItem]) -> tuple[list, list]:
-    pooled = batched_pooled(model, [it.window for it in items])
-    preds = [head.classes[adl_predict(pooled[i], head)[1]] for i in range(len(items))]
-    return preds, [it.label for it in items]
+    picks = adl_predict(batched_pooled(model, [it.window for it in items]), head)[1]
+    return [head.classes[i] for i in picks], [it.label for it in items]
 
 
 def evaluate_nextk(model: Model, head: NextKHead, items: Sequence[TrainItem],
                    k: int) -> tuple[float, float, float]:
     pooled = batched_pooled(model, [it.window for it in items])
-    scores = []
-    for i, item in enumerate(items):
-        pred = nextk_predict(pooled[i], head, k)
-        scores.append(multiset_prf(item.target, pred))
-    arr = np.asarray(scores)
-    return tuple(float(x) for x in arr.mean(axis=0))
+    expected = expected_counts(pooled, head).data
+    scores = [multiset_prf(item.target, head.decode(row, k))
+              for item, row in zip(items, expected)]
+    return tuple(float(x) for x in np.asarray(scores).mean(axis=0))
 
 
 def control_model(model: Model, seed: int) -> Model:
@@ -298,7 +295,14 @@ def pretrain_backbone(datasets: Sequence[Dataset], config: LodoConfig,
 
 def init_model(datasets: Sequence[Dataset], config: LodoConfig,
                table=None, seed: int = 0) -> Model:
-    """A model initialised with ``seed``; every stream, held-out too, is registered."""
+    """A model initialised with ``seed``; every stream, held-out too, is registered.
+
+    Streams are keyed by dataset name, so a name given twice is a ``ValueError``.
+    """
+    names = [ds.name for ds in datasets]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"two datasets are named {name!r}; dataset names must be unique")
     model = Model.init(config.model, table, seed=seed)
     for ds in datasets:
         model.add_stream_features(ds.name, ds.stream.events)

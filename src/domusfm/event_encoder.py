@@ -11,7 +11,7 @@ is a context-free vector per event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ class ModelConfig:
     seconds_buckets: int = 60
     n_window: int = 30
     context_enabled: bool = True
-    d_text: Optional[int] = None  # None: follow the table (fallback tables use d)
 
     def __post_init__(self):
         for name in ("d", "heads", "layers", "harmonics", "seconds_buckets", "n_window"):
@@ -50,17 +49,9 @@ class ModelConfig:
         if 3600 % self.seconds_buckets != 0:
             raise ValueError(f"seconds_buckets={self.seconds_buckets} must divide 3600")
 
-    def text_dim(self) -> int:
-        return self.d_text if self.d_text is not None else self.d
-
     @staticmethod
     def full_scale() -> "ModelConfig":
-        return ModelConfig(d=384, heads=12, layers=12, d_text=384)
-
-    def with_table(self, table: AttributeEmbeddingTable) -> "ModelConfig":
-        if table.provenance == "file":
-            return replace(self, d_text=table.d_text)
-        return replace(self, d_text=self.text_dim())
+        return ModelConfig(d=384, heads=12, layers=12)
 
 
 def cyclical_features(x: float, period: float, harmonics: int) -> np.ndarray:
@@ -84,14 +75,15 @@ def seconds_bucket(sec_in_hour: int, buckets: int) -> int:
     return sec_in_hour // (3600 // buckets)
 
 
-def init_event_encoder(config: ModelConfig, rng: np.random.Generator) -> ParamGroup:
-    """All learnable parameters of the event-level extractor."""
-    d, dt = config.d, config.text_dim()
+def init_event_encoder(config: ModelConfig, d_text: int,
+                       rng: np.random.Generator) -> ParamGroup:
+    """All learnable parameters of the event-level extractor, for text vectors of ``d_text``."""
+    d = config.d
     group = ParamGroup("event_encoder")
     for slot in TEXT_SLOTS:
-        init_linear(group, f"proj_{slot}", dt, d, rng)
-        init_vector(group, f"null_{slot}", dt, rng)
-        init_vector(group, f"mask_{slot}", dt, rng)
+        init_linear(group, f"proj_{slot}", d_text, d, rng)
+        init_vector(group, f"null_{slot}", d_text, rng)
+        init_vector(group, f"mask_{slot}", d_text, rng)
     for name in ("dow", "hour"):
         init_linear(group, f"proj_{name}", 2 * config.harmonics, d, rng)
         init_vector(group, f"mask_{name}", d, rng)
@@ -125,8 +117,7 @@ class StreamFeatures:
 def featurize_events(events: Sequence[Event], table: AttributeEmbeddingTable,
                      config: ModelConfig) -> StreamFeatures:
     t = len(events)
-    dt = config.text_dim()
-    text = {slot: np.zeros((t, dt)) for slot in TEXT_SLOTS}
+    text = {slot: np.zeros((t, table.d_text)) for slot in TEXT_SLOTS}
     null_mask = {slot: np.zeros((t, 1)) for slot in TEXT_SLOTS}
     dow_feats = np.zeros((t, 2 * config.harmonics))
     hour_feats = np.zeros((t, 2 * config.harmonics))

@@ -31,7 +31,7 @@ CONTEXT_GROUP = "context_encoder"
 
 
 class Model:
-    """Both encoder stages plus any attached task heads, as named groups."""
+    """Both encoder stages, as named groups; task heads keep their own."""
 
     def __init__(self, config: ModelConfig, table: AttributeEmbeddingTable,
                  groups: dict[str, ParamGroup]):
@@ -44,14 +44,10 @@ class Model:
     def init(config: ModelConfig, table: Optional[AttributeEmbeddingTable] = None,
              seed: int = 0) -> "Model":
         if table is None:
-            table = fallback_table(config.text_dim())
-        config = config.with_table(table)
-        if table.provenance == "fallback" and table.d_text != config.text_dim():
-            raise ValueError(f"fallback table dimension {table.d_text} != model "
-                             f"text dimension {config.text_dim()}")
+            table = fallback_table(config.d)
         rng = np.random.default_rng([seed, 0xD0])
         groups = {
-            EVENT_GROUP: init_event_encoder(config, rng),
+            EVENT_GROUP: init_event_encoder(config, table.d_text, rng),
             CONTEXT_GROUP: init_context_encoder(config, rng),
         }
         return Model(config, table, groups)
@@ -162,7 +158,7 @@ class Model:
     # -- persistence -----------------------------------------------------
 
     def meta(self) -> dict:
-        return {"config": {**asdict(self.config), "d_text": self.config.text_dim(),
+        return {"config": {**asdict(self.config), "d_text": self.table.d_text,
                            "table_sha256": self.table.fingerprint()}}
 
     def save(self, path: str):

@@ -128,7 +128,7 @@ def linear(x, w, b) -> Tensor:
     when ``x`` does.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[-1]:
+    if x.ndim == 0 or x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[-1]:
         raise ValueError(
             f"linear shape mismatch: x{list(x.shape)} @ w{list(w.shape)} + b{list(b.shape)}"
         )

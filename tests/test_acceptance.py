@@ -128,7 +128,7 @@ class TestA1GradientCorrectness:
 
         def event_encoder_full(rng, seed):
             config = toy_config()
-            params = init_event_encoder(config, rng)
+            params = init_event_encoder(config, config.d, rng)
             features = {}
             window = toy_window((features, table, config), n=2, seed=seed)
             batch = build_batch([window], features)
@@ -141,7 +141,7 @@ class TestA1GradientCorrectness:
 
         def window_pipeline(rng, seed):
             config = toy_config()
-            event_params = init_event_encoder(config, rng)
+            event_params = init_event_encoder(config, config.d, rng)
             ctx_params = init_context_encoder(config, rng)
             features = {}
             window = toy_window((features, table, config), n=3, seed=seed)

@@ -203,7 +203,7 @@ class TestTableFingerprint:
         path, _ = self.saved(tmp_path, tables[saved_with])
         loaded_with = "fallback" if saved_with == "file" else "file"
         other = Model.init(self.CONFIG, tables[loaded_with], seed=2)
-        assert other.config.text_dim() == 8
+        assert other.meta()["config"]["d_text"] == 8
         with pytest.raises(CheckpointError, match="table_sha256"):
             other.load(str(path))
 

@@ -350,6 +350,43 @@ class TestPretrainCommand:
         assert (trained / "out" / "pretrained.ckpt").read_bytes() == first
 
 
+    @pytest.mark.parametrize("overrides", [
+        ["pretrain.epochs_phase1=0", "pretrain.epochs_phase2=0"],
+        ["pretrain.windows_per_dataset=1", "paths.datasets=home1.csv"],
+    ], ids=["no_epochs", "one_window_batches_skipped"])
+    def test_no_step_says_so(self, workspace, capsys, overrides):
+        # it used to raise IndexError on the empty loss history: exit 1, a traceback
+        for seed in (1, 2):
+            synth(workspace, f"home{seed}.csv", seed=seed)
+        capsys.readouterr()
+        argv = ["pretrain", "--config", "run.cfg",
+                "--set", "paths.datasets=home1.csv,home2.csv"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == ("pretrained on []; no pretraining step ran\n"
+                       f"checkpoint: {os.path.join('out', 'pretrained.ckpt')}\n")
+        assert err == ""
+        assert (workspace / "out" / "pretrain_loss.csv").read_text() == "phase,epoch,step,loss\n"
+
+    @pytest.mark.parametrize("command", ["pretrain", "eval"])
+    def test_two_datasets_of_one_name_are_a_data_error(self, workspace, capsys, command):
+        # a/home.csv and b/home.csv are both "home": one of them used to be dropped
+        for seed, folder in ((1, "a"), (2, "b")):
+            (workspace / folder).mkdir()
+            synth(workspace, f"{folder}/home.csv", seed=seed)
+        synth(workspace, "home3.csv", seed=7)
+        capsys.readouterr()
+        argv = [command, "--config", "run.cfg",
+                "--set", "paths.datasets=a/home.csv,b/home.csv,home3.csv"]
+        if command == "eval":
+            argv += ["--checkpoint", "missing.ckpt", "--held-out", "home3"]
+        assert main(argv) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert err == "error: two datasets are named 'home'; dataset names must be unique\n"
+        assert not (workspace / "out").exists()
+
     def test_non_finite_loss_is_numeric_error(self, workspace):
         # the first step's update overflows the weights: the next loss is caught
         # before backward.

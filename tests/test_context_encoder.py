@@ -121,7 +121,7 @@ class TestWindowTensors:
     def test_gradient_full_pipeline(self, seed):
         config = toy_config()
         with precision("float64"):
-            model = Model.init(config, fallback_table(config.text_dim()), seed=seed)
+            model = Model.init(config, fallback_table(config.d), seed=seed)
             window = toy_window(model, n=3, seed=seed)
             rng = np.random.default_rng(seed + 77)
             r = Tensor(rng.normal(size=(config.d,)))

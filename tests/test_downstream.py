@@ -21,6 +21,7 @@ from domusfm.downstream import (
 from domusfm.embeddings import fallback_table
 from domusfm.events import OFF, ON, Event, EventStream, Sensor
 from domusfm.model import CONTEXT_GROUP, EVENT_GROUP, Model
+from domusfm.nn import linear
 from domusfm.segmentation import Window
 
 SEEDS = (0, 1, 2)
@@ -86,11 +87,26 @@ class TestAdlPredict:
         with pytest.raises(ValueError):
             init_adl_head(["only"], d=4)
 
-    @pytest.mark.parametrize("shape", [(5, 8), (1, 8), ()])
-    def test_only_one_row_accepted(self, shape):
-        # a (5, 8) batch used to return the class of its row 0 alone
+    def test_block_picks_equal_row_picks(self):
         head = init_adl_head(["a", "b", "c"], d=8, seed=0)
-        with pytest.raises(ValueError, match=r"one pooled row of shape \(d,\)"):
+        block = np.random.default_rng(0).normal(size=(5, 8)).astype(np.float32)
+        logits, picks = adl_predict(block, head)
+        assert logits.shape == (5, 3)
+        assert picks.tolist() == [adl_predict(row, head)[1] for row in block]
+
+    @pytest.mark.parametrize("classes", [6, 16, 18])
+    def test_row_logits_bit_equal_to_one_row_product(self, classes):
+        head = init_adl_head([str(c) for c in range(classes)], d=64, seed=classes)
+        rows = np.random.default_rng(classes).normal(size=(40, 64)).astype(np.float32)
+        w, b = head.params["out.w"], head.params["out.b"]
+        for row in rows:
+            product = linear(Tensor(row[None, :]), w, b).data[0]
+            assert adl_predict(row, head)[0].tobytes() == product.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 7), ()])
+    def test_wrong_width_or_scalar_rejected(self, shape):
+        head = init_adl_head(["a", "b", "c"], d=8, seed=0)
+        with pytest.raises(ValueError, match="linear shape mismatch"):
             adl_predict(np.ones(shape, dtype=np.float32), head)
 
 
@@ -148,8 +164,29 @@ class TestNextKPredict:
     @pytest.mark.parametrize("shape", [(5, 4), (1, 4), ()])
     def test_only_one_row_accepted(self, shape):
         head = init_nextk_head([("A", ON), ("A", OFF)], d=4, seed=0)
-        with pytest.raises(ValueError, match=r"one pooled row of shape \(d,\)"):
+        message = "linear shape mismatch" if shape == () else "expected counts must be a vector"
+        with pytest.raises(ValueError, match=message):
             nextk_predict(Tensor(np.ones(shape)), head, 3)
+
+
+class TestNextKDecode:
+    def test_equals_from_dict_of_nonzero_counts(self):
+        vocabulary = [("A", ON), ("A", OFF), ("B", ON), ("B", OFF), ("C", ON)]
+        head = init_nextk_head(vocabulary, d=4, seed=0)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            expected = rng.uniform(0, 2, size=5) * (rng.random(5) > 0.3)
+            k = int(rng.integers(1, 40))
+            counts = largest_remainder(expected, k)
+            want = EventMultiset.from_dict(
+                {etype: int(c) for etype, c in zip(vocabulary, counts) if c > 0})
+            got = head.decode(expected, k)
+            assert got == want and got.total == k
+
+    def test_one_row_only(self):
+        head = init_nextk_head([("A", ON), ("A", OFF)], d=4, seed=0)
+        with pytest.raises(ValueError, match="expected counts must be a vector"):
+            head.decode(np.ones((2, 2)), 3)
 
 
 class TestNextKTarget:

@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from domusfm.downstream import EventMultiset
+from conftest import toy_config
+from domusfm import downstream
+from domusfm.benchmark import three_home_corpus
+from domusfm.downstream import (EventMultiset, adl_predict, batched_pooled, init_adl_head,
+                                init_nextk_head, nextk_predict)
+from domusfm.embeddings import fallback_table
 from domusfm.evaluation import (
     EvalProtocol,
     MetricReport,
+    adl_predictions,
+    eligible_adl_items,
+    eligible_nextk_items,
+    evaluate_nextk,
     kfold_splits,
     majority_baseline_f1,
     multiset_prf,
@@ -14,6 +23,7 @@ from domusfm.evaluation import (
     weighted_f1,
 )
 from domusfm.events import OFF, ON, Event, EventStream, Sensor
+from domusfm.model import Model
 from domusfm.segmentation import segment_events
 
 SENSOR = Sensor("X", "motion")
@@ -264,3 +274,50 @@ class TestMetricReport:
             EvalProtocol(held_out="x", folds=1)
         with pytest.raises(ValueError):
             EvalProtocol(held_out="x", k_values=(0,))
+
+
+class TestBlockScoring:
+    """The harness scores a test block with one head product, not one per window."""
+
+    @pytest.fixture(scope="class")
+    def home(self):
+        ds = three_home_corpus(days=1, seed=0)[0]
+        model = Model.init(toy_config(d=16, n_window=4), fallback_table(16), seed=0)
+        model.add_stream_features(ds.name, ds.stream.events)
+        windows = segment_events(ds.stream, 4, 3, dataset=ds.name)[:60]
+        return ds, model, windows
+
+    @staticmethod
+    def count_products(monkeypatch) -> list:
+        shapes = []
+        original = downstream.linear
+
+        def counting(x, w, b):
+            shapes.append(np.shape(getattr(x, "data", x)))
+            return original(x, w, b)
+
+        monkeypatch.setattr(downstream, "linear", counting)
+        return shapes
+
+    def test_adl_predictions(self, home, monkeypatch):
+        ds, model, windows = home
+        items = eligible_adl_items(windows, ds.activity_set)
+        head = init_adl_head(ds.activity_set, 16, seed=0)
+        pooled = batched_pooled(model, [it.window for it in items])
+        per_row = [head.classes[adl_predict(row, head)[1]] for row in pooled]
+        shapes = self.count_products(monkeypatch)
+        preds, labels = adl_predictions(model, head, items)
+        assert shapes == [(len(items), 16)]
+        assert preds == per_row and labels == [it.label for it in items]
+
+    def test_evaluate_nextk(self, home, monkeypatch):
+        ds, model, windows = home
+        items = eligible_nextk_items(windows, ds, 5)
+        head = init_nextk_head(ds.event_vocabulary(), 16, seed=0)
+        pooled = batched_pooled(model, [it.window for it in items])
+        per_row = np.mean([multiset_prf(it.target, nextk_predict(row, head, 5))
+                           for it, row in zip(items, pooled)], axis=0)
+        shapes = self.count_products(monkeypatch)
+        scores = evaluate_nextk(model, head, items, 5)
+        assert shapes == [(len(items), 16)]
+        assert scores == tuple(float(x) for x in per_row)

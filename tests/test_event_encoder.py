@@ -29,7 +29,7 @@ T0 = 1_700_000_000
 
 
 def make_params(config, seed=0):
-    return init_event_encoder(config, np.random.default_rng(seed))
+    return init_event_encoder(config, config.d, np.random.default_rng(seed))
 
 
 def batch_of(events, table, config, masks=None):
@@ -260,7 +260,7 @@ class TestEncodeEvent:
     def test_gradient_full_event_encoder(self, seed, table):
         config = toy_config()
         with precision("float64"):
-            params = init_event_encoder(config, np.random.default_rng(seed))
+            params = init_event_encoder(config, config.d, np.random.default_rng(seed))
             batch = batch_of(toy_events(n=2, seed=seed), table, config)
             rng = np.random.default_rng(seed + 50)
             r = Tensor(rng.normal(size=(1, 2, config.d)))

@@ -63,6 +63,10 @@ class TestLodoRun:
         with pytest.raises(ValueError):
             lodo_run(corpus[2:], config)
 
+    def test_duplicate_dataset_name_rejected(self, corpus):
+        with pytest.raises(ValueError, match="two datasets are named 'home1'"):
+            lodo_run(corpus + [corpus[0]], tiny_lodo_config())
+
     def test_too_short_pretraining_dataset_named(self, corpus):
         short = generate_synthetic_corpus(home_spec("home1", days=1, seed=1))
         config = tiny_lodo_config()

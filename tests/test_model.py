@@ -237,7 +237,7 @@ class TestGatheredGradients:
     @staticmethod
     def setup(homes, seed, n=3):
         config = toy_config(n_window=n)
-        model = Model.init(config, fallback_table(config.text_dim()), seed=seed)
+        model = Model.init(config, fallback_table(config.d), seed=seed)
         for ds in homes:
             model.add_stream_features(ds.name, ds.stream.events)
         first, second = (stride_one(homes, n)[ds.name] for ds in homes)

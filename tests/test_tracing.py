@@ -31,7 +31,7 @@ def load_tracing():
 def test_pretrain_spans_carry_phase_labels():
     tracing = load_tracing()
     config = toy_config(n_window=4)
-    model = Model.init(config, fallback_table(config.text_dim()), seed=0)
+    model = Model.init(config, fallback_table(config.d), seed=0)
     windows = {}
     for ds in three_home_corpus(days=1, seed=0)[:2]:
         model.add_stream_features(ds.name, ds.stream.events)
@@ -63,7 +63,7 @@ def test_tape_nodes_of_a_toy_pretraining_loss():
     # direction's cross-entropy is one node
     tracing = load_tracing()
     config = toy_config(n_window=4)
-    model = Model.init(config, fallback_table(config.text_dim()), seed=0)
+    model = Model.init(config, fallback_table(config.d), seed=0)
     windows = []
     for ds in three_home_corpus(days=1, seed=0)[:2]:
         model.add_stream_features(ds.name, ds.stream.events)

@@ -271,8 +271,9 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, gelu(x)) with t = tanh(c * (x + a * x**3)), in two new buffers.
+def _gelu_forward(x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(t, gelu(x)) with t = tanh(c * (x + a * x**3)), t in a new buffer and
+    gelu(x) in ``out`` (a new buffer too when ``out`` is None).
 
     Powers are written as products: ``x ** 3`` on float32 goes through the
     generic ``powf`` path, about 80 times slower than two multiplies. The
@@ -287,7 +288,7 @@ def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    y = t + 1.0
+    y = np.add(t, 1.0, out=out)
     y *= x
     y *= 0.5
     return t, y
@@ -445,14 +446,24 @@ def getitem(a, idx) -> Tensor:
 
 
 def take_rows(table, indices: np.ndarray) -> Tensor:
-    """Embedding lookup: gather rows of a 2-D table by an integer array."""
+    """Embedding lookup: gather rows of a 2-D table by an integer array.
+
+    The backward sums the gradient rows of each table row as one segment of
+    the rows sorted by index (a stable sort, so each segment keeps the order
+    of use), several times faster than the unbuffered ``np.add.at``.
+    """
     table = as_tensor(table)
     indices = np.asarray(indices)
     node, shape, dtype = table.node, table.shape, table.data.dtype
 
     def backward(g):
         full = np.zeros(shape, dtype)
-        np.add.at(full, indices, g)
+        if indices.size:
+            flat = indices.reshape(-1) % shape[0]    # -1 and n - 1 are one row
+            order = np.argsort(flat, kind="stable")
+            used = flat[order]
+            starts = np.flatnonzero(np.concatenate(([True], used[1:] != used[:-1])))
+            full[used[starts]] = np.add.reduceat(g.reshape(-1, shape[1])[order], starts)
         _accumulate(node, full)
 
     return _make(table.data[indices], (node,), backward)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, reshape, take_rows, tensor_mean
 from .embeddings import AttributeEmbeddingTable
-from .events import Event, extract_time_features
+from .events import Event, Sensor
 from .nn import ParamGroup, init_attention, init_embedding, init_linear, init_vector, linear, multi_head_attention
 from .segmentation import Window
 
@@ -103,10 +103,10 @@ def init_event_encoder(config: ModelConfig, d_text: int,
 class StreamFeatures:
     """Per-event constant model inputs, precomputed once per stream."""
 
-    text: dict[str, np.ndarray]       # slot -> (T, d_text), zero where NULL
-    null_mask: dict[str, np.ndarray]  # slot -> (T, 1) float
-    dow_feats: np.ndarray             # (T, 2H)
-    hour_feats: np.ndarray            # (T, 2H)
+    text: dict[str, np.ndarray]       # slot -> (T, d_text) float32, zero where NULL
+    null_mask: dict[str, np.ndarray]  # slot -> (T, 1) float32
+    dow_feats: np.ndarray             # (T, 2H) float32
+    hour_feats: np.ndarray            # (T, 2H) float32
     sec_ids: np.ndarray               # (T,)
     status_ids: np.ndarray            # (T,)
 
@@ -116,27 +116,38 @@ class StreamFeatures:
 
 def featurize_events(events: Sequence[Event], table: AttributeEmbeddingTable,
                      config: ModelConfig) -> StreamFeatures:
-    t = len(events)
-    text = {slot: np.zeros((t, table.d_text)) for slot in TEXT_SLOTS}
-    null_mask = {slot: np.zeros((t, 1)) for slot in TEXT_SLOTS}
-    dow_feats = np.zeros((t, 2 * config.harmonics))
-    hour_feats = np.zeros((t, 2 * config.harmonics))
-    sec_ids = np.zeros(t, dtype=np.int64)
-    status_ids = np.zeros(t, dtype=np.int64)
-    for i, event in enumerate(events):
-        attrs = {"item": event.sensor.house_item, "room": event.sensor.room,
-                 "type": event.sensor.sensor_type}
-        for slot, value in attrs.items():
-            if value is None or not value.strip():
-                null_mask[slot][i, 0] = 1.0
-            else:
-                text[slot][i] = table.lookup(value)
-        dow, hour, sec = extract_time_features(event.timestamp)
-        dow_feats[i] = cyclical_features(dow, 7.0, config.harmonics)
-        hour_feats[i] = cyclical_features(hour, 24.0, config.harmonics)
-        sec_ids[i] = seconds_bucket(sec, config.seconds_buckets)
-        status_ids[i] = STATUS_INDEX[event.status]
-    return StreamFeatures(text, null_mask, dow_feats, hour_feats, sec_ids, status_ids)
+    """The model inputs of every event, as float32 arrays built by lookup.
+
+    Each distinct sensor's text vectors are looked up once. Day of week, hour
+    and second come from the integer UTC timestamp (1970-01-01 was a
+    Thursday, day 3), and the cyclical features are rows of one table per
+    period, so every row equals ``cyclical_features`` of its event cast to
+    float32.
+    """
+    sensors: dict[Sensor, int] = {}
+    which = np.array([sensors.setdefault(e.sensor, len(sensors)) for e in events],
+                     dtype=np.int64)
+    text, null_mask = {}, {}
+    for slot, attr in zip(TEXT_SLOTS, ("house_item", "room", "sensor_type")):
+        values = [getattr(sensor, attr) for sensor in sensors]
+        null = np.array([value is None or not value.strip() for value in values],
+                        dtype=np.float32)[:, None]
+        vecs = np.zeros((len(values), table.d_text), dtype=np.float32)
+        for row, value in enumerate(values):
+            if not null[row, 0]:
+                vecs[row] = table.lookup(value)
+        text[slot], null_mask[slot] = vecs[which], null[which]
+    ts = np.array([e.timestamp for e in events], dtype=np.int64)
+    dow_table, hour_table = (
+        np.stack([cyclical_features(i, float(period), config.harmonics)
+                  for i in range(period)]).astype(np.float32)
+        for period in (7, 24))
+    return StreamFeatures(
+        text, null_mask,
+        dow_feats=dow_table[(ts // 86400 + 3) % 7],
+        hour_feats=hour_table[ts // 3600 % 24],
+        sec_ids=ts % 3600 // (3600 // config.seconds_buckets),
+        status_ids=np.array([STATUS_INDEX[e.status] for e in events], dtype=np.int64))
 
 
 @dataclass

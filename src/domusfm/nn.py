@@ -102,9 +102,9 @@ def init_attention(group: ParamGroup, name: str, d: int, rng: np.random.Generato
 # -- layers ------------------------------------------------------------------
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b``, the bias added into the GEMM output in place."""
-    out = np.matmul(x, w)
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``x @ w + b``, the bias added into the GEMM output (or ``out``) in place."""
+    out = np.matmul(x, w, out=out)
     out += b
     return out
 
@@ -121,6 +121,15 @@ def _affine_grads(g: np.ndarray, x: np.ndarray, nw, nb, bshape: tuple):
         _accumulate(nw, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
 
+def _input_grad(g: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """``g @ w.T``, the gradient of ``x`` in ``x @ w + b``.
+
+    ``w.T`` is copied C-contiguous first: numpy's stacked matmul runs two to
+    three times slower when its second operand is a transposed view.
+    """
+    return np.matmul(g, np.ascontiguousarray(w.T), out=out)
+
+
 def linear(x, w, b) -> Tensor:
     """x @ w + b for a 2-D weight, one tape node, with a conformance check.
 
@@ -134,12 +143,12 @@ def linear(x, w, b) -> Tensor:
         )
     nx, nw, nb, bshape = x.node, w.node, b.node, b.shape
     xv = x.data if nw is not None else None
-    wt = w.data.T if nx is not None else None
+    wv = w.data if nx is not None else None
 
     def backward(g):
         _affine_grads(g, xv, nw, nb, bshape)
         if nx is not None:
-            _accumulate(nx, np.matmul(g, wt))
+            _accumulate(nx, _input_grad(g, wv))
 
     return _make(_affine(x.data, w.data, b.data), (nx, nw, nb), backward)
 
@@ -217,15 +226,21 @@ def multi_head_attention(x, heads: int, params: dict[str, Tensor],
     return project(ctx, "o")
 
 
+FF_BLOCK_ROWS = 256
+
+
 def feed_forward(x, params: dict[str, Tensor], prefix: str) -> Tensor:
     """Two-layer MLP with GELU, hidden size taken from the stored weights.
 
     ``linear -> gelu -> linear`` as one tape node that keeps only ``x`` and
-    the weights. Its backward recomputes the pre-activation, GELU's tanh and
-    GELU's output with the forward's own calls (activation recomputation,
-    Chen et al. 2016), then runs the gradients of the three ops in their
-    float order, so every bit matches the three-node tape. At most three
-    hidden-size arrays are alive at once, forward or backward.
+    the weights. The rows of ``x`` run through the hidden layer in blocks of
+    whole windows, about ``FF_BLOCK_ROWS`` rows each, as 2-D GEMMs, so a
+    block's pre-activation and GELU stay in cache; a window never spans two
+    blocks. The backward recomputes each block's pre-activation, GELU's tanh
+    and output with the forward's own calls (activation recomputation, Chen
+    et al. 2016). The weight and bias gradients are still one GEMM or sum over
+    all rows, in the three-node tape's float order. The backward holds two
+    hidden-size arrays: GELU's output and the pre-activation's gradient.
     """
     x = as_tensor(x)
     w1, b1, w2, b2 = (params[f"{prefix}.{layer}.{p}"] for layer in (1, 2) for p in "wb")
@@ -235,24 +250,41 @@ def feed_forward(x, params: dict[str, Tensor], prefix: str) -> Tensor:
         raise ValueError(f"feed_forward shape mismatch: x{list(xv.shape)}, "
                          f"w1{list(w1v.shape)}, b1{list(b1v.shape)}, "
                          f"w2{list(w2v.shape)}, b2{list(b2v.shape)}")
+    rows = xv.reshape(-1, xv.shape[-1])
+    per_window = math.prod(xv.shape[1:-1])
+    step = max(1, FF_BLOCK_ROWS // per_window) * per_window
+    blocks = [slice(lo, lo + step) for lo in range(0, len(rows), step)]
 
-    # ``gelu`` is the module attribute, off the tape: instrumentation that
-    # rebinds it times the forward's activation
-    data = _affine(gelu(_make(_affine(xv, w1v, b1v), (), None)).data, w2v, b2v)
+    dtype = np.result_type(xv, w2v)
+    out = np.empty((len(rows), w2v.shape[1]), dtype)
+    for blk in blocks:
+        # ``gelu`` is the module attribute, off the tape: instrumentation
+        # that rebinds it times the forward's activation
+        h = gelu(_make(_affine(rows[blk], w1v, b1v), (), None)).data
+        _affine(h, w2v, b2v, out=out[blk])
     nx, nw1, nb1, nw2, nb2 = x.node, w1.node, b1.node, w2.node, b2.node
 
     def backward(g):
-        pre = _affine(xv, w1v, b1v)
-        t, h = _gelu_forward(pre)
+        g_rows = g.reshape(-1, g.shape[-1])
+        h = np.empty((len(rows), w1v.shape[1]), dtype)
+        dpre = np.empty_like(h)
+        dx = np.empty_like(rows) if nx is not None else None
+        for blk in blocks:
+            pre = _affine(rows[blk], w1v, b1v)
+            t, _ = _gelu_forward(pre, out=h[blk])
+            dpre_blk = _gelu_slope(pre, t, out=dpre[blk], du=pre)
+            del pre, t
+            dpre_blk *= _input_grad(g_rows[blk], w2v)
+            if dx is not None:
+                _input_grad(dpre_blk, w1v, out=dx[blk])
         _affine_grads(g, h, nw2, nb2, b2v.shape)
-        dpre = _gelu_slope(pre, t, out=h, du=pre)
-        del pre, t
-        dpre *= np.matmul(g, w2v.T)
-        _affine_grads(dpre, xv, nw1, nb1, b1v.shape)
-        if nx is not None:
-            _accumulate(nx, np.matmul(dpre, w1v.T))
+        del h
+        _affine_grads(dpre.reshape(xv.shape[:-1] + dpre.shape[-1:]), xv, nw1, nb1, b1v.shape)
+        if dx is not None:
+            _accumulate(nx, dx.reshape(xv.shape))
 
-    return _make(data, (nx, nw1, nb1, nw2, nb2), backward)
+    return _make(out.reshape(xv.shape[:-1] + out.shape[-1:]), (nx, nw1, nb1, nw2, nb2),
+                 backward)
 
 
 # -- optimizer ---------------------------------------------------------------

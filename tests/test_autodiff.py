@@ -160,6 +160,29 @@ class TestPrimitiveGradients:
         assert _check(build, seed) < TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_take_rows_repeated_and_negative_indices(self, seed):
+        # the sorted scatter-add sums every use of a row, in a 2-D index
+        # array where -1 and 5 name the same row and row 2 is never used
+        def build(rng):
+            table = parameter(rng.normal(size=(6, 3)))
+            idx = np.array([[0, 3, 3, -1], [5, 1, 3, 0]])
+
+            def f():
+                return _projected_sum(ad.take_rows(table, idx),
+                                      np.random.default_rng(seed + 100))
+
+            return [table], f
+
+        assert _check(build, seed) < TOL
+
+    def test_take_rows_empty_index(self):
+        table = parameter(np.ones((4, 3)))
+        rows = ad.take_rows(table, np.zeros((0,), dtype=np.int64))
+        assert rows.shape == (0, 3)
+        (rows.sum() + (table * 2.0).sum()).backward()
+        np.testing.assert_array_equal(table.grad, np.full((4, 3), 2.0, np.float32))
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_softmax_families(self, seed):
         def build(rng):
             a = parameter(rng.normal(size=(3, 5)))

@@ -4,10 +4,14 @@
 allocate and reuse, but keep the float operation order of the plain numpy
 formulas below. These references are the formulas the ops replaced; every
 checkpoint, loss CSV and benchmark digest depends on the ops reproducing them
-exactly at float32, forward and backward. ``feed_forward`` recomputes its
-hidden activations in backward and must match the ``linear -> gelu -> linear``
-tape it replaced. ``l2_normalize`` and ``cross_entropy`` are single nodes in
-place of tapes of small ops; their references replay those tapes in numpy.
+exactly at float32, forward and backward. An input gradient multiplies by a
+C-contiguous copy of the transposed weight. ``feed_forward`` runs its rows in
+blocks of whole windows, recomputes its hidden activations in backward, and
+must match the ``linear -> gelu -> linear`` tape it replaced, the same formulas
+on its rows as one matrix, and itself at any block size. ``l2_normalize``
+and ``cross_entropy`` are single nodes in place of tapes of small ops; their
+references replay those tapes in numpy. ``take_rows``'s backward sums in another order than ``np.add.at`` and matches
+it within float32 rounding.
 """
 
 import numpy as np
@@ -15,6 +19,7 @@ import pytest
 
 from domusfm import autodiff as ad
 from domusfm.autodiff import Tensor, parameter
+from domusfm import nn
 from domusfm.nn import ParamGroup, feed_forward, init_linear, layer_norm, linear
 
 GELU_C = 0.7978845608028654
@@ -65,10 +70,27 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5):
 
 def ref_linear(x, w, b, g):
     out = np.matmul(x, w) + b
-    dx = np.matmul(g, w.T)
+    dx = np.matmul(g, np.ascontiguousarray(w.T))
     k, m = w.shape
     dw = x.reshape(-1, k).T @ g.reshape(-1, m) if x.ndim > 2 else np.matmul(x.T, g)
     return out, dx, dw, ref_unbroadcast(g, b.shape)
+
+
+def ref_feed_forward(x, w1, b1, w2, b2, g):
+    """``linear -> gelu -> linear`` on the rows of ``x`` as one 2-D matrix.
+
+    The bias gradients sum over the batch axes of the unflattened gradient,
+    one axis after another, as the tape did.
+    """
+    lead = x.shape[:-1]
+    rows = x.reshape(-1, x.shape[-1])
+    pre = np.matmul(rows, w1) + b1
+    out, dh, dw2, _ = ref_linear(ref_gelu(pre), w2, b2, g.reshape(-1, g.shape[-1]))
+    dpre = ref_gelu_backward(pre, dh)
+    _, dx, dw1, _ = ref_linear(rows, w1, b1, dpre)
+    return (out.reshape(lead + (-1,)), dx.reshape(x.shape), dw1,
+            ref_unbroadcast(dpre.reshape(lead + (-1,)), b1.shape), dw2,
+            ref_unbroadcast(g, b2.shape))
 
 
 def ref_l2_normalize(x, g, axis=-1, eps=1e-12):
@@ -181,7 +203,7 @@ def test_layer_norm_matches_reference(shape):
 
 
 @pytest.mark.parametrize("x_shape, m", [((64, 30, 64), 256), ((64, 30, 256), 64),
-                                        ((100, 8), 64)])
+                                        ((100, 8), 64), ((1400, 7, 64), 64)])
 @pytest.mark.parametrize("transposed", [False, True])
 @pytest.mark.parametrize("x_on_tape", [True, False])
 @pytest.mark.parametrize("uses", [1, 2])
@@ -251,10 +273,28 @@ def test_feed_forward_matches_three_op_tape(b, n, uses):
         np.testing.assert_array_equal(got, expected)
     if uses == 1:                         # and the reference formulas
         w1, b1, w2, b2 = (t.data for t in plain.tensors.values())
-        pre = np.matmul(xs[0], w1) + b1
-        out, dh, dw2, db2 = ref_linear(ref_gelu(pre), w2, b2, gs[0])
-        _, dx, dw1, db1 = ref_linear(xs[0], w1, b1, ref_gelu_backward(pre, dh))
-        for got, expected in zip(out_f + dx_f + dp_f, (out, dx, dw1, db1, dw2, db2)):
+        expected = ref_feed_forward(xs[0], w1, b1, w2, b2, gs[0])
+        for got, want in zip(out_f + dx_f + dp_f, expected):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("b, n", [(5, 7), (64, 30), (1400, 7)])
+def test_feed_forward_bits_do_not_depend_on_the_row_blocks(b, n, monkeypatch):
+    # a block of one window, blocks that split the batch unevenly, and one
+    # block for everything give the same output and gradients
+    rng = np.random.default_rng(9)
+    group = _ffn_params(rng, 64)
+    x, g = _f32(rng, (b, n, 64)), _f32(rng, (b, n, 64))
+    results = []
+    for rows in (1, 3 * n, nn.FF_BLOCK_ROWS, b * n):
+        monkeypatch.setattr(nn, "FF_BLOCK_ROWS", rows)
+        xs = parameter(x)
+        out = feed_forward(xs, group.tensors, "ff")
+        _backprop(out, g)
+        results.append([out.data, xs.grad] + [t.grad for t in group.tensors.values()])
+        group.zero_grad()
+    for other in results[1:]:
+        for got, expected in zip(other, results[0]):
             np.testing.assert_array_equal(got, expected)
 
 
@@ -315,3 +355,16 @@ def test_cross_entropy_matches_nextk_tape():
     np.testing.assert_array_equal(out.data, ref_out)
     _backprop(out, np.float32(1.0))
     np.testing.assert_array_equal(a.grad, dx)
+
+
+def test_take_rows_backward_sums_like_add_at():
+    # the sorted segment sums add each row's uses in another order than
+    # ``np.add.at``: equal up to float32 rounding of sums of ~30 terms
+    rng = np.random.default_rng(10)
+    table = parameter(_f32(rng, (1400, 64)))
+    idx = rng.integers(0, 1400, size=(128, 30))
+    g = _f32(rng, (128, 30, 64))
+    _backprop(ad.take_rows(table, idx), g)
+    expected = np.zeros((1400, 64), np.float32)
+    np.add.at(expected, idx, g)
+    np.testing.assert_allclose(table.grad, expected, rtol=1e-5, atol=2e-6)

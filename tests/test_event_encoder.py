@@ -103,6 +103,55 @@ class TestCyclicalFeatures:
             seconds_bucket(3600, 60)
 
 
+def per_event_features(events, table, config):
+    """The featurization one event at a time, in float64, from the helpers."""
+    attrs = ("house_item", "room", "sensor_type")
+    text = {slot: [] for slot in attrs}
+    null = {slot: [] for slot in attrs}
+    dow_feats, hour_feats, sec_ids = [], [], []
+    for event in events:
+        for slot in attrs:
+            value = getattr(event.sensor, slot)
+            blank = value is None or not value.strip()
+            null[slot].append([float(blank)])
+            text[slot].append(np.zeros(table.d_text) if blank else table.lookup(value))
+        dow, hour, sec = extract_time_features(event.timestamp)
+        dow_feats.append(cyclical_features(dow, 7.0, config.harmonics))
+        hour_feats.append(cyclical_features(hour, 24.0, config.harmonics))
+        sec_ids.append(seconds_bucket(sec, config.seconds_buckets))
+    return ([np.array(text[s]) for s in attrs] + [np.array(null[s]) for s in attrs]
+            + [np.array(dow_feats), np.array(hour_feats), np.array(sec_ids)])
+
+
+class TestFeaturizeEvents:
+    def test_matches_per_event_path_cast_to_float32(self, table):
+        # NULL and blank attributes, a token the table lacks, and timestamps
+        # across days, hours, a week boundary and the last second of an hour
+        gadget = Sensor("g1", "power", "unseen gadget", "kitchen")
+        blank = Sensor("w2", "wearable", house_item="  ", room="")
+        sensors = [STOVE, BED, WEARABLE, gadget, blank]
+        stamps = [T0 + k * 7919 for k in range(60)] + [T0 - T0 % 3600 + 3599 + 86400 * 3]
+        events = [Event(ts, sensors[i % len(sensors)], "ON" if i % 3 else "OFF")
+                  for i, ts in enumerate(stamps)]
+        config = toy_config(harmonics=3, seconds_buckets=60)
+        feats = featurize_events(events, table, config)
+        got = ([feats.text[s] for s in ("item", "room", "type")]
+               + [feats.null_mask[s] for s in ("item", "room", "type")]
+               + [feats.dow_feats, feats.hour_feats, feats.sec_ids])
+        for array, expected in zip(got, per_event_features(events, table, config)):
+            if array.dtype.kind == "f":
+                assert array.dtype == np.float32
+                expected = expected.astype(np.float32)
+            np.testing.assert_array_equal(array, expected)
+        np.testing.assert_array_equal(feats.status_ids, [int(i % 3 == 0) for i in range(61)])
+        assert {extract_time_features(ts)[0] for ts in stamps} == set(range(7))
+
+    def test_empty_stream(self, table):
+        feats = featurize_events([], table, toy_config())
+        assert len(feats) == 0 and feats.text["item"].shape == (0, 8)
+        assert feats.null_mask["room"].shape == (0, 1)
+
+
 class TestEmbedAttributeText:
     def test_table_hit_returns_stored_vector(self):
         from domusfm.embeddings import AttributeEmbeddingTable
@@ -110,7 +159,7 @@ class TestEmbedAttributeText:
         stored = np.linspace(0, 1, 8)
         table = AttributeEmbeddingTable(d_text=8, vectors={"stove": stored})
         feats = featurize_events([Event(T0, STOVE, "ON")], table, toy_config())
-        np.testing.assert_array_equal(feats.text["item"][0], stored)
+        np.testing.assert_array_equal(feats.text["item"][0], stored.astype(np.float32))
 
     def test_miss_matches_fallback_oracle(self, table):
         gadget = Sensor("g1", "power", "unseen gadget", "kitchen")
@@ -162,10 +211,10 @@ class TestEncodeTemporal:
         event = Event(T0, STOVE, "ON")
         dow, hour, sec = extract_time_features(T0)
         feats = featurize_events([event], table, config)
-        np.testing.assert_array_equal(feats.dow_feats[0],
-                                      cyclical_features(dow, 7.0, config.harmonics))
-        np.testing.assert_array_equal(feats.hour_feats[0],
-                                      cyclical_features(hour, 24.0, config.harmonics))
+        np.testing.assert_array_equal(
+            feats.dow_feats[0], cyclical_features(dow, 7.0, config.harmonics).astype(np.float32))
+        np.testing.assert_array_equal(
+            feats.hour_feats[0], cyclical_features(hour, 24.0, config.harmonics).astype(np.float32))
         assert feats.sec_ids[0] == seconds_bucket(sec, config.seconds_buckets)
         a = encode([event], table, params, config)
         b = encode([event], table, params, config)

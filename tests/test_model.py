@@ -230,6 +230,26 @@ class TestEncodeOncePerEvent:
         assert encoded == [len(unmasked) + len(masked)]
 
 
+class TestBatchedPooled:
+    def test_rows_do_not_depend_on_chunk_or_batch_membership(self, homes):
+        # a held-out window may be pooled once and reused only if its row is
+        # the same in any chunk, beside any other windows (desk sizes)
+        config = toy_config(d=64, heads=4, layers=2, n_window=30)
+        model = Model.init(config, fallback_table(64), seed=0)
+        windows = []
+        for ds in homes:
+            model.add_stream_features(ds.name, ds.stream.events)
+            windows += segment_events(ds.stream, 30, 29, dataset=ds.name)
+        assert len(windows) > 64
+        rows = evaluation.batched_pooled(model, windows, chunk=256)
+        for chunk in (1, 7, 64):
+            np.testing.assert_array_equal(
+                evaluation.batched_pooled(model, windows, chunk=chunk), rows)
+        order = np.random.default_rng(0).permutation(len(windows))
+        shuffled = evaluation.batched_pooled(model, [windows[i] for i in order], chunk=64)
+        np.testing.assert_array_equal(shuffled, rows[order])
+
+
 class TestGatheredGradients:
     """Float64 finite differences through the shared rows; stride-1 windows
     repeat each stream event, so the gather's backward must sum over uses."""

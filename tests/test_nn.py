@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from domusfm import nn
 from domusfm.autodiff import Tensor, grad_check, parameter, precision
 from domusfm.nn import (
     NumericError,
@@ -45,6 +46,18 @@ class TestLinear:
             w = parameter(rng.normal(size=(4, 2)))
             b = parameter(rng.normal(size=(2,)))
             err = grad_check(lambda: linear(x, w, b).sum(), [x, w, b], seed=seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gradient_batched_input(self, seed):
+        # one weight over a (2, 3) batch of rows, as in every encoder projection
+        with precision("float64"):
+            rng = np.random.default_rng(seed)
+            x = parameter(rng.normal(size=(2, 3, 4)))
+            w = parameter(rng.normal(size=(4, 5)))
+            b = parameter(rng.normal(size=(5,)))
+            r = Tensor(rng.normal(size=(2, 3, 5)))
+            err = grad_check(lambda: (linear(x, w, b) * r).sum(), [x, w, b], seed=seed)
         assert err < 1e-4
 
 
@@ -157,6 +170,24 @@ class TestFeedForward:
             init_linear(group, "ff.2", 24, 6, rng)
             x = parameter(rng.normal(size=(3, 6)))
             r = Tensor(rng.normal(size=(3, 6)))
+
+            def f():
+                return (feed_forward(x, group.tensors, "ff") * r).sum()
+
+            err = grad_check(f, [x] + list(group.tensors.values()), seed=seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gradient_across_row_blocks(self, seed, monkeypatch):
+        # blocks of two 4-event windows, the last one short
+        monkeypatch.setattr(nn, "FF_BLOCK_ROWS", 8)
+        with precision("float64"):
+            rng = np.random.default_rng(seed)
+            group = ParamGroup("ff")
+            init_linear(group, "ff.1", 6, 24, rng)
+            init_linear(group, "ff.2", 24, 6, rng)
+            x = parameter(rng.normal(size=(5, 4, 6)))
+            r = Tensor(rng.normal(size=(5, 4, 6)))
 
             def f():
                 return (feed_forward(x, group.tensors, "ff") * r).sum()

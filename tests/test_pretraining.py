@@ -293,3 +293,30 @@ def test_desk_phase2_step_memory_peak():
         tracemalloc.stop()
     assert len(windows) == 64
     assert peak < 36e6
+
+
+def test_float32_pretraining_stays_near_a_float64_reference():
+    # 8 steps (4 per phase) at d=32: the float32 parameters stay within a
+    # relative L2 distance of 2e-4 of the same run in float64. A change to an
+    # op's float order (a rebaseline) must not move float32 training away
+    # from the float64 reference; about 1.4e-4 is expected here.
+    homes = three_home_corpus(days=2, seed=0)[:2]
+    config = ModelConfig(d=32, heads=4, layers=2, n_window=30)
+
+    def trained_parameters():
+        model = Model.init(config, fallback_table(32), seed=0)
+        windows = {}
+        for ds in homes:
+            model.add_stream_features(ds.name, ds.stream.events)
+            windows[ds.name] = segment_events(ds.stream, 30, 29, dataset=ds.name)
+        cfg = PretrainConfig(batch_size=16, epochs_phase1=1, epochs_phase2=1,
+                             windows_per_dataset=32, seed=0)
+        assert len(pretrain(windows, cfg, model).history) == 8
+        return np.concatenate([t.data.ravel()
+                               for g in model.groups.values() for t in g.tensors.values()])
+
+    single = trained_parameters()
+    with precision("float64"):
+        double = trained_parameters()
+    assert (single.dtype, double.dtype) == (np.float32, np.float64)
+    assert np.linalg.norm(single - double) / np.linalg.norm(double) < 2e-4

@@ -6,26 +6,31 @@ the discretized second-in-hour, and the status. Each slot is embedded to the
 model dimension, tagged with a learned slot embedding, fused by one
 self-attention layer over the slots, mean-pooled, and projected. The result
 is a context-free vector per event.
+
+An event is stored as seven integer slot ids. Each slot embeds as a row of its
+own table, whose last two rows are the learned NULL and MASK inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, concat, reshape, take_rows, tensor_mean
 from .embeddings import AttributeEmbeddingTable
-from .events import Event, Sensor
+from .events import Event, Sensor, extract_time_features
 from .nn import ParamGroup, init_attention, init_embedding, init_linear, init_vector, linear, multi_head_attention
 from .segmentation import Window
 
 SLOTS = ("house_item", "room", "sensor_type", "dow", "hour", "sec", "status")
 TEXT_SLOTS = ("item", "room", "type")
 N_SLOTS = 7
-STATUS_INDEX = {"ON": 0, "OFF": 1, "MASK": 2}
+STATUS_INDEX = {"ON": 0, "OFF": 1}
+NULL_ID, MASK_ID = -2, -1  # the last two rows of every slot table
 
 
 @dataclass(frozen=True)
@@ -101,158 +106,134 @@ def init_event_encoder(config: ModelConfig, d_text: int,
 
 @dataclass
 class StreamFeatures:
-    """Per-event constant model inputs, precomputed once per stream."""
+    """Per-event constant model inputs, precomputed once per stream.
 
-    text: dict[str, np.ndarray]       # slot -> (T, d_text) float32, zero where NULL
-    null_mask: dict[str, np.ndarray]  # slot -> (T, 1) float32
-    dow_feats: np.ndarray             # (T, 2H) float32
-    hour_feats: np.ndarray            # (T, 2H) float32
-    sec_ids: np.ndarray               # (T,)
-    status_ids: np.ndarray            # (T,)
+    ``ids`` holds each event's seven slot ids: a text id is a row of the
+    stream's ``text`` table for that slot (one row per sensor) or ``NULL_ID``;
+    then day of week 0-6, hour 0-23, the second bucket and the status 0/1.
+    """
+
+    text: dict[str, np.ndarray]  # slot -> (sensors, d_text) float32
+    ids: np.ndarray              # (T, 7) int64
 
     def __len__(self):
-        return len(self.sec_ids)
+        return len(self.ids)
+
+
+@lru_cache(maxsize=None)
+def cyclical_table(period: int, harmonics: int) -> np.ndarray:
+    """Row i is ``cyclical_features(i, period, harmonics)`` as float32."""
+    table = np.stack([cyclical_features(i, float(period), harmonics)
+                      for i in range(period)]).astype(np.float32)
+    table.flags.writeable = False
+    return table
 
 
 def featurize_events(events: Sequence[Event], table: AttributeEmbeddingTable,
                      config: ModelConfig) -> StreamFeatures:
-    """The model inputs of every event, as float32 arrays built by lookup.
+    """The slot ids of every event, and each distinct sensor's text vectors.
 
-    Each distinct sensor's text vectors are looked up once. Day of week, hour
-    and second come from the integer UTC timestamp (1970-01-01 was a
-    Thursday, day 3), and the cyclical features are rows of one table per
-    period, so every row equals ``cyclical_features`` of its event cast to
-    float32.
+    A NULL (missing or blank) attribute gets ``NULL_ID`` and a zero text row.
     """
     sensors: dict[Sensor, int] = {}
     which = np.array([sensors.setdefault(e.sensor, len(sensors)) for e in events],
                      dtype=np.int64)
-    text, null_mask = {}, {}
-    for slot, attr in zip(TEXT_SLOTS, ("house_item", "room", "sensor_type")):
+    ids = np.empty((len(events), N_SLOTS), dtype=np.int64)
+    text = {}
+    for k, (slot, attr) in enumerate(zip(TEXT_SLOTS, SLOTS)):
         values = [getattr(sensor, attr) for sensor in sensors]
-        null = np.array([value is None or not value.strip() for value in values],
-                        dtype=np.float32)[:, None]
+        null = np.array([value is None or not value.strip() for value in values], dtype=bool)
         vecs = np.zeros((len(values), table.d_text), dtype=np.float32)
         for row, value in enumerate(values):
-            if not null[row, 0]:
+            if not null[row]:
                 vecs[row] = table.lookup(value)
-        text[slot], null_mask[slot] = vecs[which], null[which]
+        text[slot] = vecs
+        ids[:, k] = np.where(null[which], NULL_ID, which)
     ts = np.array([e.timestamp for e in events], dtype=np.int64)
-    dow_table, hour_table = (
-        np.stack([cyclical_features(i, float(period), config.harmonics)
-                  for i in range(period)]).astype(np.float32)
-        for period in (7, 24))
-    return StreamFeatures(
-        text, null_mask,
-        dow_feats=dow_table[(ts // 86400 + 3) % 7],
-        hour_feats=hour_table[ts // 3600 % 24],
-        sec_ids=ts % 3600 // (3600 // config.seconds_buckets),
-        status_ids=np.array([STATUS_INDEX[e.status] for e in events], dtype=np.int64))
+    ids[:, 3], ids[:, 4], sec = extract_time_features(ts)
+    ids[:, 5] = sec // (3600 // config.seconds_buckets)
+    ids[:, 6] = [STATUS_INDEX[e.status] for e in events]
+    return StreamFeatures(text, ids)
 
 
 @dataclass
 class EventBatch:
-    """Stacked constant inputs for B windows of N events, plus mask flags."""
+    """Slot ids of B windows of N events, and the text tables they index."""
 
-    text: dict[str, np.ndarray]       # slot -> (B, N, d_text)
-    null_mask: dict[str, np.ndarray]  # slot -> (B, N, 1)
-    dow_feats: np.ndarray
-    hour_feats: np.ndarray
-    sec_ids: np.ndarray               # (B, N)
-    status_ids: np.ndarray            # (B, N), already MASK-substituted
-    slot_mask: np.ndarray             # (B, N, 7) float
+    text: dict[str, np.ndarray]  # slot -> (rows, d_text): each stream's table once
+    ids: np.ndarray              # (B, N, 7), MASK_ID where masked
 
     @property
     def shape(self):
-        return self.sec_ids.shape
-
-
-def gather_batch(blocks: Sequence[tuple[StreamFeatures, object]], shape: tuple[int, int],
-                 masks: Optional[np.ndarray] = None) -> EventBatch:
-    """Concatenate rows of feature blocks into one (B, N) batch.
-
-    ``blocks`` pairs each stream's features with the rows it contributes (a
-    slice or an index array), in batch order; B * N rows in all. ``masks`` is
-    (B, N, 7) float/bool; slot 6 masks the status.
-    """
-    def gather(select):
-        rows = np.concatenate([select(feats)[index] for feats, index in blocks])
-        return rows.reshape(shape + rows.shape[1:])
-
-    batch = EventBatch(
-        text={slot: gather(lambda f, s=slot: f.text[s]) for slot in TEXT_SLOTS},
-        null_mask={slot: gather(lambda f, s=slot: f.null_mask[s]) for slot in TEXT_SLOTS},
-        dow_feats=gather(lambda f: f.dow_feats),
-        hour_feats=gather(lambda f: f.hour_feats),
-        sec_ids=gather(lambda f: f.sec_ids),
-        status_ids=gather(lambda f: f.status_ids),
-        slot_mask=np.asarray(masks, dtype=np.float64) if masks is not None
-        else np.zeros(shape + (N_SLOTS,)),
-    )
-    status_masked = batch.slot_mask[:, :, 6] > 0.5
-    batch.status_ids[status_masked] = STATUS_INDEX["MASK"]
-    return batch
-
-
-def stream_features(features: dict[str, StreamFeatures], dataset: str,
-                    stop: int) -> StreamFeatures:
-    """The features of stream ``dataset``, which must hold events ``[0, stop)``.
-
-    Every window reads its events here.
-    """
-    feats = features.get(dataset)
-    if feats is None:
-        raise ValueError(f"no stream features for dataset {dataset!r}; register "
-                         f"the stream with Model.add_stream_features first")
-    if stop > len(feats):
-        raise ValueError(f"a window reaching event {stop - 1} runs past the end of "
-                         f"stream {dataset!r} ({len(feats)} events)")
-    return feats
+        return self.ids.shape[:2]
 
 
 def build_batch(windows: Sequence[Window], features: dict[str, StreamFeatures],
                 masks: Optional[np.ndarray] = None) -> EventBatch:
-    """Gather each window's slice of its stream's features into batch arrays.
+    """Gather each window's slot ids from its stream into one (B, N) batch.
 
-    This is the per-window reference path, with no production caller:
-    ``Model.event_rows`` encodes each distinct event once and must match it
-    bitwise. ``features`` maps dataset name to its precomputed stream features.
-    ``masks`` is (B, N, 7) float/bool; slot 6 masks the status.
+    ``features`` maps dataset name to its precomputed stream features. Each
+    stream's text tables enter the batch once, in the order the windows first
+    name the streams, and its text ids are offset by the rows before it.
+    ``masks`` is (B, N, 7) float/bool; a masked slot reads ``MASK_ID``.
     """
-    n = len(windows[0])
+    b, n = len(windows), len(windows[0])
     if any(len(w) != n for w in windows):
         raise ValueError("all windows in a batch must have the same length")
-    blocks = [(stream_features(features, w.dataset, w.start + n),
-               slice(w.start, w.start + n))
-              for w in windows]
-    return gather_batch(blocks, (len(windows), n), masks)
+    if masks is not None and np.shape(masks) != (b, n, N_SLOTS):
+        raise ValueError(f"masks shape {np.shape(masks)} does not match "
+                         f"{b} windows of {n} events")
+    by_stream: dict[str, list[int]] = {}
+    for i, w in enumerate(windows):
+        by_stream.setdefault(w.dataset, []).append(i)
+    ids = np.empty((b, n, N_SLOTS), dtype=np.int64)
+    text = {slot: [] for slot in TEXT_SLOTS}
+    offset = 0
+    for name, members in by_stream.items():
+        spans = np.array([windows[i].start for i in members])[:, None] + np.arange(n)
+        feats, stop = features.get(name), int(spans.max()) + 1
+        if feats is None:
+            raise ValueError(f"no stream features for dataset {name!r}; register "
+                             f"the stream with Model.add_stream_features first")
+        if stop > len(feats):
+            raise ValueError(f"a window reaching event {stop - 1} runs past the end of "
+                             f"stream {name!r} ({len(feats)} events)")
+        rows = feats.ids[spans]
+        rows[..., :3] += np.where(rows[..., :3] >= 0, offset, 0)
+        ids[members] = rows
+        for slot in TEXT_SLOTS:
+            text[slot].append(feats.text[slot])
+        offset += len(feats.text["item"])
+    if masks is not None:
+        ids[np.asarray(masks) > 0.5] = MASK_ID
+    return EventBatch({slot: np.concatenate(t) for slot, t in text.items()}, ids)
 
 
 def encode_batch(batch: EventBatch, params: ParamGroup, config: ModelConfig) -> Tensor:
-    """h_e for every event: (B, N, d)."""
+    """h_e for every event: (B, N, d).
+
+    Each slot is a row of its own table, projected once per batch: the text
+    tables with the learned NULL and MASK vectors in text space, the day and
+    hour harmonics, the second buckets, and the status. ``NULL_ID`` and
+    ``MASK_ID`` are the last two rows, so a masked NULL attribute reads MASK.
+    """
     b, n = batch.shape
     d = config.d
+    ids = batch.ids
     slot_streams = []
-    # text slots: learned NULL/MASK vectors substitute in text space, then project
-    for idx, slot in enumerate(TEXT_SLOTS):
-        m = batch.slot_mask[:, :, idx:idx + 1]
-        nm = batch.null_mask[slot] * (1.0 - m)  # mask wins over NULL
-        keep = 1.0 - nm - m
-        text_in = (Tensor(batch.text[slot] * keep)
-                   + params[f"null_{slot}"] * Tensor(nm)
-                   + params[f"mask_{slot}"] * Tensor(m))
-        slot_streams.append(linear(text_in, params[f"proj_{slot}.w"], params[f"proj_{slot}.b"]))
-    # cyclical slots: project harmonics, replace with the mask vector where masked
-    for feats, name, idx in ((batch.dow_feats, "dow", 3), (batch.hour_feats, "hour", 4)):
-        m = batch.slot_mask[:, :, idx:idx + 1]
-        enc = linear(Tensor(feats), params[f"proj_{name}.w"], params[f"proj_{name}.b"])
-        slot_streams.append(enc * Tensor(1.0 - m) + params[f"mask_{name}"] * Tensor(m))
-    # second-of-hour bucket embedding
-    m = batch.slot_mask[:, :, 5:6]
-    sec = take_rows(params["sec_table"], batch.sec_ids)
-    slot_streams.append(sec * Tensor(1.0 - m) + params["mask_sec"] * Tensor(m))
-    # status embedding (MASK substitution already applied to the ids)
-    status = take_rows(params["status_table"], batch.status_ids)
+    for k, slot in enumerate(TEXT_SLOTS):
+        table = concat([Tensor(batch.text[slot]), reshape(params[f"null_{slot}"], (1, -1)),
+                        reshape(params[f"mask_{slot}"], (1, -1))])
+        table = linear(table, params[f"proj_{slot}.w"], params[f"proj_{slot}.b"])
+        slot_streams.append(take_rows(table, ids[..., k]))
+    for k, name, period in ((3, "dow", 7), (4, "hour", 24)):
+        table = linear(Tensor(cyclical_table(period, config.harmonics)),
+                       params[f"proj_{name}.w"], params[f"proj_{name}.b"])
+        table = concat([table, reshape(params[f"mask_{name}"], (1, -1))])
+        slot_streams.append(take_rows(table, ids[..., k]))
+    table = concat([params["sec_table"], reshape(params["mask_sec"], (1, -1))])
+    slot_streams.append(take_rows(table, ids[..., 5]))
+    status = take_rows(params["status_table"], ids[..., 6])  # its last row is MASK
 
     stacked = concat([reshape(s, (b, n, 1, d)) for s in slot_streams], axis=2)
     stacked = stacked + reshape(params["slot_emb"], (1, 1, 6, d))

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 ON = "ON"
 OFF = "OFF"
 STATUSES = (ON, OFF)
@@ -182,12 +184,15 @@ def sorted_stream(pairs: Iterable[tuple[Event, Optional[str]]]) -> EventStream:
     return EventStream(tuple(events), tuple(labels))
 
 
-def extract_time_features(timestamp: int) -> tuple[int, int, int]:
-    """(day_of_week Monday=0, hour 0..23, second_in_hour 0..3599), in UTC."""
-    if timestamp <= 0:
-        raise ValueError(f"timestamp must be positive (post-1970), got {timestamp}")
-    dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-    return dt.weekday(), dt.hour, dt.minute * 60 + dt.second
+def extract_time_features(timestamp):
+    """(day_of_week Monday=0, hour 0..23, second_in_hour 0..3599), in UTC.
+
+    ``timestamp`` is an int or an int64 array, mapped by integer arithmetic
+    (1970-01-01 was a Thursday, day 3).
+    """
+    if np.any(np.asarray(timestamp) <= 0):
+        raise ValueError(f"timestamp must be positive (post-1970), got {np.min(timestamp)}")
+    return (timestamp // 86400 + 3) % 7, timestamp // 3600 % 24, timestamp % 3600
 
 
 def parse_iso_timestamp(text: str) -> int:

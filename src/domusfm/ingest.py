@@ -21,6 +21,7 @@ from .events import (
     EventStream,
     Sensor,
     clean_alternation,
+    extract_time_features,
     format_iso_timestamp,
     parse_iso_timestamp,
     sorted_stream,
@@ -306,7 +307,7 @@ def generate_synthetic_corpus(spec: SyntheticHomeSpec) -> Dataset:
     base = parse_iso_timestamp(spec.start)
     raw: list[tuple[Event, Optional[str]]] = []
     for day in range(spec.duration_days):
-        weekday = (day + _weekday_of(base)) % 7
+        weekday = (day + extract_time_features(base)[0]) % 7
         day_start = base + day * 86400
         for script in spec.activities:
             if rng.random() >= script.weekday_weights[weekday]:
@@ -339,12 +340,6 @@ def generate_synthetic_corpus(spec: SyntheticHomeSpec) -> Dataset:
     activities = tuple(sorted({l for l in cleaned.labels if l is not None}))
     return Dataset(name=spec.name, sensors=registry, stream=cleaned,
                    activity_set=activities)
-
-
-def _weekday_of(timestamp: int) -> int:
-    from .events import extract_time_features
-
-    return extract_time_features(timestamp)[0]
 
 
 # -- dataset-level oversampling ------------------------------------------------

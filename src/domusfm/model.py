@@ -13,15 +13,14 @@ from .context_encoder import contextualize, init_context_encoder, pool_sequence
 from .embeddings import AttributeEmbeddingTable, fallback_table
 from .event_encoder import (
     N_SLOTS,
+    NULL_ID,
     EventBatch,
     ModelConfig,
     StreamFeatures,
     build_batch,
     encode_batch,
     featurize_events,
-    gather_batch,
     init_event_encoder,
-    stream_features,
 )
 from .nn import ParamGroup
 from .segmentation import Window
@@ -77,10 +76,7 @@ class Model:
 
     def batch(self, windows: Sequence[Window],
               masks: Optional[np.ndarray] = None) -> EventBatch:
-        """Each window's own slice of its stream: the per-window reference path.
-
-        No production path calls it; ``event_rows`` must match it bitwise.
-        """
+        """The slot ids of each window's events, MASK_ID where ``masks`` says."""
         return build_batch(windows, self.features, masks)
 
     def encode_events(self, batch: EventBatch) -> Tensor:
@@ -89,50 +85,29 @@ class Model:
 
     def event_rows(self, windows: Sequence[Window],
                    masks: Optional[np.ndarray] = None) -> Tensor:
-        """h_e (B, N, d) that encodes each distinct event of a batch once.
+        """h_e (B, N, d) that encodes each distinct event row of a batch once.
 
         This is the one path to event embeddings, with or without a tape. The
-        event encoder is context-free, so a row depends only on the event and
-        its mask flags, not on the window holding it: windows of one stream
-        share one row per (stream index, mask bits). Streams come in the order
-        the batch first names them. The distinct rows are encoded in one batch
+        event encoder is context-free, so a row depends only on its seven slot
+        ids after masking: events of one stream with equal ids share a row,
+        whichever windows hold them. The stream stays in the key, so a batch
+        never shrinks to one row, whose ``fuse`` product would take numpy's
+        matrix-vector path. The distinct rows are encoded as one (1, R) batch
         and gathered back with ``take_rows``, whose backward sums the gradient
         of a shared row over every place it is used. ``masks`` is (B, N, 7)
-        0/1 flags; slot 6 masks the status.
+        0/1 flags. The key packs into one int64, which ``np.ravel_multi_index``
+        refuses with a ValueError only past tens of thousands of sensors.
         """
-        b, n = len(windows), len(windows[0])
-        if any(len(w) != n for w in windows):
-            raise ValueError("all windows in a batch must have the same length")
-        bits = np.zeros((b, n), dtype=np.int64)
-        if masks is not None:
-            if np.shape(masks) != (b, n, N_SLOTS):
-                raise ValueError(f"masks shape {np.shape(masks)} does not match "
-                                 f"{b} windows of {n} events")
-            bits = (np.asarray(masks) > 0.5).astype(np.int64) @ (1 << np.arange(N_SLOTS))
-        index = np.empty((b, n), dtype=np.int64)
-        blocks, row_bits, total = [], [], 0
-        by_stream: dict[str, list[int]] = {}
-        for i, w in enumerate(windows):
-            by_stream.setdefault(w.dataset, []).append(i)
-        full = (1 << N_SLOTS) - 1
-        for name, members in by_stream.items():
-            spans = np.array([windows[i].start for i in members])[:, None] + np.arange(n)
-            feats = stream_features(self.features, name, int(spans.max()) + 1)
-            spans[bits[members] == full] = 0  # after the span check: one shared row
-            keys, inverse = np.unique((spans << N_SLOTS) | bits[members],
-                                      return_inverse=True)
-            rows = keys >> N_SLOTS
-            blocks.append((feats, rows))
-            row_bits.append(keys & full)
-            index[members] = total + inverse.reshape(spans.shape)
-            total += len(keys)
-        # One (1, R) batch, or (R, 1) for one-event windows: either way BLAS runs
-        # the kernel the per-window path runs, so the rows match it bitwise.
-        shape = (1, total) if n > 1 else (total, 1)
-        slot_mask = (np.concatenate(row_bits)[:, None] >> np.arange(N_SLOTS)) & 1
-        encoded = self.encode_events(
-            gather_batch(blocks, shape, slot_mask.reshape(shape + (N_SLOTS,))))
-        return take_rows(reshape(encoded, (total, self.config.d)), index)
+        batch = self.batch(windows, masks)
+        codes: dict[str, int] = {}
+        stream = np.array([codes.setdefault(w.dataset, len(codes)) for w in windows])
+        ids = batch.ids.reshape(-1, N_SLOTS)
+        columns = [np.repeat(stream, batch.shape[1]), *(ids - NULL_ID).T]  # all >= 0
+        keys = np.ravel_multi_index(columns, [int(c.max()) + 1 for c in columns])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        encoded = self.encode_events(EventBatch(batch.text, ids[first][None]))
+        return take_rows(reshape(encoded, (len(first), self.config.d)),
+                         inverse.reshape(batch.shape))
 
     def contextualize(self, event_embeddings: Tensor) -> Tensor:
         """h_cxt rows (B, N, d) from the context encoder.

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import toy_config, toy_window
+from conftest import KITCHEN_MOTION, STOVE, WEARABLE, toy_config, toy_window
 from domusfm import autodiff as ad
 from domusfm.autodiff import Tensor, grad_check, parameter, precision
 from domusfm.benchmark import three_home_corpus
@@ -36,6 +36,7 @@ from domusfm.evaluation import (
     weighted_f1,
 )
 from domusfm.event_encoder import (
+    N_SLOTS,
     build_batch,
     cyclical_features,
     encode_batch,
@@ -45,7 +46,7 @@ from domusfm.events import OFF, ON, Event, EventStream, Sensor, clean_alternatio
 from domusfm.ingest import generate_synthetic_corpus
 from domusfm.model import EVENT_GROUP, Model
 from domusfm.pretraining import PretrainConfig, infonce, pretrain
-from domusfm.segmentation import segment_events
+from domusfm.segmentation import Window, segment_events
 
 SEEDS = (0, 1, 2)
 
@@ -139,6 +140,44 @@ class TestA1GradientCorrectness:
 
             return list(params.tensors.values()), f
 
+        def event_encoder_null_and_masks(rng, seed):
+            # NULL items and rooms, event k < 7 masked on slot k, and a NULL
+            # item masked: every NULL and MASK row of the slot tables is used
+            config = toy_config()
+            params = init_event_encoder(config, config.d, rng)
+            features = {}
+            events = [Event(1_700_000_000 + 977 * k, (WEARABLE, KITCHEN_MOTION, STOVE)[k % 3],
+                            OFF if k % 2 else ON) for k in range(9)]
+            window = toy_window((features, table, config), events=events)
+            masks = np.zeros((1, 9, N_SLOTS))
+            masks[0, np.arange(7), np.arange(7)] = 1.0
+            masks[0, 7, 0] = 1.0
+            batch = build_batch([window], features, masks)
+            r = Tensor(rng.normal(size=(1, 9, config.d)))
+
+            def f():
+                return (encode_batch(batch, params, config) * r).sum()
+
+            return list(params.tensors.values()), f
+
+        def event_rows_shared(rng, seed):
+            # overlapping and repeated windows of two streams, and fully masked
+            # events: the gather's backward sums each shared row into the tables
+            config = toy_config(n_window=3)
+            model = Model.init(config, fallback_table(config.d), seed=seed)
+            first = toy_window(model, n=6, seed=seed).dataset
+            second = toy_window(model, n=4, seed=seed + 10).dataset
+            windows = ([Window(first, start, 3) for start in (0, 1, 2, 3, 1)]
+                       + [Window(second, start, 3) for start in (0, 1)])
+            masks = rng.random((7, 3, N_SLOTS)) < 0.2
+            masks[0, 0] = masks[2, 2] = masks[5, 1] = masks[6, 0] = True
+            r = Tensor(rng.normal(size=(7, 3, config.d)))
+
+            def f():
+                return (model.event_rows(windows, masks) * r).sum()
+
+            return list(model.event_params.tensors.values()), f
+
         def window_pipeline(rng, seed):
             config = toy_config()
             event_params = init_event_encoder(config, config.d, rng)
@@ -166,7 +205,8 @@ class TestA1GradientCorrectness:
             return [anchors, positives], f
 
         builds = (elementwise, linear_softmax_norm, attention, transpose_negative_axes,
-                  event_encoder_full, window_pipeline, infonce_pair)
+                  event_encoder_full, event_encoder_null_and_masks, event_rows_shared,
+                  window_pipeline, infonce_pair)
         for build in builds:
             run(build)
 

@@ -4,6 +4,7 @@ Every event row comes from ``featurize_events`` -> ``build_batch`` -> ``encode_b
 """
 
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -12,16 +13,19 @@ from conftest import BED, STOVE, WEARABLE, toy_config, toy_events
 from domusfm.autodiff import Tensor, grad_check, precision
 from domusfm.embeddings import fallback_embedding
 from domusfm.event_encoder import (
+    MASK_ID,
+    NULL_ID,
     ModelConfig,
     N_SLOTS,
     build_batch,
     cyclical_features,
+    cyclical_table,
     encode_batch,
     featurize_events,
     init_event_encoder,
     seconds_bucket,
 )
-from domusfm.events import Event, Sensor, extract_time_features
+from domusfm.events import Event, Sensor
 from domusfm.segmentation import Window
 
 SEEDS = (0, 1, 2)
@@ -44,6 +48,12 @@ def encode(events, table, params, config, masks=None):
     """h_e rows (N, d) of ``events`` encoded as one window."""
     batch = batch_of(events, table, config, masks)
     return encode_batch(batch, params, config).data[0]
+
+
+def utc_fields(timestamp):
+    """(weekday, hour, second in hour) of a UTC timestamp, by ``datetime``."""
+    dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+    return dt.weekday(), dt.hour, dt.minute * 60 + dt.second
 
 
 def slot_masks(*slots):
@@ -104,7 +114,10 @@ class TestCyclicalFeatures:
 
 
 def per_event_features(events, table, config):
-    """The featurization one event at a time, in float64, from the helpers."""
+    """The featurization one event at a time, in float64, from the helpers.
+
+    Text rows are zero and flagged where the attribute is NULL.
+    """
     attrs = ("house_item", "room", "sensor_type")
     text = {slot: [] for slot in attrs}
     null = {slot: [] for slot in attrs}
@@ -115,7 +128,7 @@ def per_event_features(events, table, config):
             blank = value is None or not value.strip()
             null[slot].append([float(blank)])
             text[slot].append(np.zeros(table.d_text) if blank else table.lookup(value))
-        dow, hour, sec = extract_time_features(event.timestamp)
+        dow, hour, sec = utc_fields(event.timestamp)
         dow_feats.append(cyclical_features(dow, 7.0, config.harmonics))
         hour_feats.append(cyclical_features(hour, 24.0, config.harmonics))
         sec_ids.append(seconds_bucket(sec, config.seconds_buckets))
@@ -135,21 +148,27 @@ class TestFeaturizeEvents:
                   for i, ts in enumerate(stamps)]
         config = toy_config(harmonics=3, seconds_buckets=60)
         feats = featurize_events(events, table, config)
-        got = ([feats.text[s] for s in ("item", "room", "type")]
-               + [feats.null_mask[s] for s in ("item", "room", "type")]
-               + [feats.dow_feats, feats.hour_feats, feats.sec_ids])
+        ids = feats.ids
+        assert ids.dtype == np.int64 and ids.shape == (61, N_SLOTS)
+        null = [ids[:, k] == NULL_ID for k in range(3)]
+        got = ([np.where(null[k][:, None], 0, feats.text[s][ids[:, k]])
+                for k, s in enumerate(("item", "room", "type"))]
+               + [null[k][:, None].astype(np.float64) for k in range(3)]
+               + [cyclical_table(7, config.harmonics)[ids[:, 3]],
+                  cyclical_table(24, config.harmonics)[ids[:, 4]], ids[:, 5]])
         for array, expected in zip(got, per_event_features(events, table, config)):
-            if array.dtype.kind == "f":
-                assert array.dtype == np.float32
+            if array.dtype == np.float32:
                 expected = expected.astype(np.float32)
             np.testing.assert_array_equal(array, expected)
-        np.testing.assert_array_equal(feats.status_ids, [int(i % 3 == 0) for i in range(61)])
-        assert {extract_time_features(ts)[0] for ts in stamps} == set(range(7))
+        assert all(a.dtype == np.float32 for a in (*feats.text.values(),
+                                                   cyclical_table(7, config.harmonics)))
+        np.testing.assert_array_equal(ids[:, 6], [int(i % 3 == 0) for i in range(61)])
+        assert {utc_fields(ts)[0] for ts in stamps} == set(range(7))
 
     def test_empty_stream(self, table):
         feats = featurize_events([], table, toy_config())
         assert len(feats) == 0 and feats.text["item"].shape == (0, 8)
-        assert feats.null_mask["room"].shape == (0, 1)
+        assert feats.ids.shape == (0, N_SLOTS)
 
 
 class TestEmbedAttributeText:
@@ -173,7 +192,7 @@ class TestEmbedAttributeText:
         blank = Sensor("w2", "wearable", house_item="  ", room="")
         for sensor in (WEARABLE, blank):  # None and blank attributes are both NULL
             feats = featurize_events([Event(T0, sensor, "ON")], table, config)
-            assert feats.null_mask["room"][0, 0] == 1.0
+            assert feats.ids[0, 1] == NULL_ID
             assert not feats.text["room"].any()
         batch = batch_of([Event(T0, WEARABLE, "ON")], table, config)
         base = encode_batch(batch, params, config).data
@@ -209,13 +228,15 @@ class TestEncodeTemporal:
         config = toy_config()
         params = make_params(config)
         event = Event(T0, STOVE, "ON")
-        dow, hour, sec = extract_time_features(T0)
+        dow, hour, sec = utc_fields(T0)
         feats = featurize_events([event], table, config)
         np.testing.assert_array_equal(
-            feats.dow_feats[0], cyclical_features(dow, 7.0, config.harmonics).astype(np.float32))
+            cyclical_table(7, config.harmonics)[feats.ids[0, 3]],
+            cyclical_features(dow, 7.0, config.harmonics).astype(np.float32))
         np.testing.assert_array_equal(
-            feats.hour_feats[0], cyclical_features(hour, 24.0, config.harmonics).astype(np.float32))
-        assert feats.sec_ids[0] == seconds_bucket(sec, config.seconds_buckets)
+            cyclical_table(24, config.harmonics)[feats.ids[0, 4]],
+            cyclical_features(hour, 24.0, config.harmonics).astype(np.float32))
+        assert feats.ids[0, 5] == seconds_bucket(sec, config.seconds_buckets)
         a = encode([event], table, params, config)
         b = encode([event], table, params, config)
         assert a.shape == (1, config.d)
@@ -227,7 +248,7 @@ class TestEncodeStatus:
         config = toy_config()
         params = make_params(config)
         events = [Event(T0, STOVE, "ON"), Event(T0 + 60, STOVE, "OFF")]
-        np.testing.assert_array_equal(featurize_events(events, table, config).status_ids,
+        np.testing.assert_array_equal(featurize_events(events, table, config).ids[:, 6],
                                       [0, 1])
         np.testing.assert_array_equal(encode(events, table, params, config),
                                       encode(events, table, params, config))
@@ -237,7 +258,7 @@ class TestEncodeStatus:
         params = make_params(config)
         on, off = Event(T0, STOVE, "ON"), Event(T0, STOVE, "OFF")
         masked_batch = batch_of([on], table, config, slot_masks(6))
-        assert masked_batch.status_ids[0, 0] == 2  # MASK substituted into the ids
+        assert masked_batch.ids[0, 0, 6] == MASK_ID  # the status table's last row
         rows = [encode([on], table, params, config)[0],
                 encode([off], table, params, config)[0],
                 encode_batch(masked_batch, params, config).data[0, 0]]
@@ -270,11 +291,12 @@ class TestEncodeEvent:
         masked = batch_of([event], table, config, slot_masks(1))  # room slot
         assert not np.allclose(encode_batch(plain, params, config).data,
                                encode_batch(masked, params, config).data)
-        # the other slot inputs are untouched: featurized constants are identical
+        # the other slot inputs are untouched: only the room id reads MASK
         for slot in ("item", "room", "type"):
             np.testing.assert_array_equal(plain.text[slot], masked.text[slot])
-        np.testing.assert_array_equal(masked.status_ids, [[0]])
-        np.testing.assert_array_equal(masked.slot_mask[0, 0], slot_masks(1))
+        expected = plain.ids.copy()
+        expected[0, 0, 1] = MASK_ID
+        np.testing.assert_array_equal(masked.ids, expected)
 
     def test_null_attributes_use_null_path(self, table):
         config = toy_config()
@@ -283,9 +305,7 @@ class TestEncodeEvent:
         out = encode([event], table, params, config)
         assert np.isfinite(out).all()
         feats = featurize_events([event], table, config)
-        assert feats.null_mask["room"][0, 0] == 1.0
-        assert feats.null_mask["item"][0, 0] == 1.0
-        assert feats.null_mask["type"][0, 0] == 0.0
+        np.testing.assert_array_equal(feats.ids[0, :3], [NULL_ID, NULL_ID, 0])
 
     def test_slot_identity_breaks_attribute_permutation(self, table):
         config = toy_config()

@@ -1,5 +1,7 @@
 """Domain-model tests: alternation cleaning, binarization, merging, time features."""
 
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,22 @@ class TestTimeFeatures:
     def test_rejects_pre_epoch(self):
         with pytest.raises(ValueError):
             extract_time_features(0)
+        with pytest.raises(ValueError):
+            extract_time_features(np.array([5, -3], dtype=np.int64))
+
+    def test_integer_rule_matches_datetime(self):
+        # ints and int64 arrays take one rule; datetime is the oracle
+        rng = np.random.default_rng(1)
+        stamps = np.concatenate([rng.integers(1, 4_000_000_000, size=500),
+                                 [1, 86399, 86400, 3599, 3600, 1_700_000_000]])
+        expected = []
+        for ts in stamps.tolist():
+            dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+            expected.append((dt.weekday(), dt.hour, dt.minute * 60 + dt.second))
+            assert extract_time_features(ts) == expected[-1]
+        got = extract_time_features(stamps.astype(np.int64))
+        assert all(a.dtype == np.int64 for a in got)
+        np.testing.assert_array_equal(np.stack(got, axis=1), expected)
 
     def test_iso_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ from domusfm.benchmark import three_home_corpus
 from domusfm.context_encoder import pool_sequence
 from domusfm.downstream import adl_loss, init_adl_head
 from domusfm.embeddings import fallback_table
-from domusfm.event_encoder import N_SLOTS
+from domusfm.event_encoder import MASK_ID, N_SLOTS
 from domusfm.model import Model
 from domusfm.pretraining import (
     PretrainConfig,
@@ -189,6 +189,7 @@ class TestEncodeOncePerEvent:
         n, chunk = 4, 8
         model = make_model(homes, n)
         windows = stride_one(homes, n)[homes[0].name][5:25]
+        ids = model.features[homes[0].name].ids
         encoded = []
         original = model_module.encode_batch
 
@@ -198,8 +199,11 @@ class TestEncodeOncePerEvent:
 
         monkeypatch.setattr(model_module, "encode_batch", counting)
         evaluation.batched_pooled(model, windows, chunk=chunk)
-        sizes = [len(windows[lo:lo + chunk]) for lo in range(0, len(windows), chunk)]
-        assert encoded == [w + n - 1 for w in sizes]
+        # one stream: a row per distinct id tuple among the chunk's events
+        spans = [(windows[lo].start, windows[min(lo + chunk, len(windows)) - 1].start + n)
+                 for lo in range(0, len(windows), chunk)]
+        assert encoded == [len({tuple(row) for row in ids[a:b]}) for a, b in spans]
+        assert sum(encoded) < sum(b - a for a, b in spans)
 
     def test_phase1_step_encodes_distinct_rows_once(self, homes, monkeypatch):
         n, b = 4, 16
@@ -223,11 +227,15 @@ class TestEncodeOncePerEvent:
         config = PretrainConfig(batch_size=b, epochs_phase1=1, epochs_phase2=0,
                                 windows_per_dataset=b, p_event_select=0.5)
         assert len(pretrain({name: windows}, config, model).history) == 1
+        ids = model.features[name].ids
         unmasked = {w.start + j for w, _ in pairs for j in range(n)}
         masked = {(w.start + j, tuple(mask[j]))
                   for w, mask in pairs for j in range(n) if mask[j].any()}
         assert masked and len(unmasked) < b * n
-        assert encoded == [len(unmasked) + len(masked)]
+        # one row per distinct id tuple after masking, anchors and views alike
+        rows = ({tuple(ids[i]) for i in unmasked}
+                | {tuple(np.where(mask, MASK_ID, ids[i])) for i, mask in masked})
+        assert encoded == [len(rows)] and len(rows) < len(unmasked) + len(masked)
 
 
 class TestBatchedPooled:

@@ -73,8 +73,7 @@ class TestAugmentations:
         feats = model.features[w.dataset]
 
         def arrays():
-            return [*feats.text.values(), *feats.null_mask.values(), feats.dow_feats,
-                    feats.hour_feats, feats.sec_ids, feats.status_ids]
+            return [*feats.text.values(), feats.ids]
 
         before = [a.copy() for a in arrays()]
         augment_mask_event(w, 0.7, np.random.default_rng(5))

@@ -60,7 +60,8 @@ def test_tape_nodes_of_a_toy_pretraining_loss():
     # the tape of each phase's contrastive loss keeps its size when ops change
     # what they save for backward; each linear, each of phase 2's two
     # feed-forward blocks (one layer, two views), each l2_normalize and each
-    # direction's cross-entropy is one node
+    # direction's cross-entropy is one node, and each slot of the event
+    # encoder projects its table once
     tracing = load_tracing()
     config = toy_config(n_window=4)
     model = Model.init(config, fallback_table(config.d), seed=0)
@@ -71,4 +72,4 @@ def test_tape_nodes_of_a_toy_pretraining_loss():
     counts = [tracing.tape_nodes(pretraining.contrastive_loss(
         model, windows, phase, PretrainConfig(batch_size=8), np.random.default_rng(0)))
         for phase in (1, 2)]
-    assert counts == [108, 73]
+    assert counts == [107, 73]

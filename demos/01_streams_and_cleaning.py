@@ -1,52 +1,61 @@
 #!/usr/bin/env python3
-"""From raw signals to a clean global event stream.
+"""From an event CSV to a clean global event stream.
 
-Walks the data model end to end: binarize a continuous temperature trace into
-semantic states, clean alternation violations from a flaky motion sensor, and
-merge everything into one totally ordered stream.
+Input starts at binary ON/OFF events. This walks what ``parse_event_csv``
+does to a small file with unsorted rows, two events in one second and a
+repeated ON: sort and bump ties (``sorted_stream``), drop repeats
+(``clean_alternation`` and its report), then read each event's time features.
 """
 
-from domusfm import (
-    Event,
-    EventStream,
-    SemanticState,
-    Sensor,
-    binarize_continuous,
-    clean_alternation,
-    extract_time_features,
-    merge_streams,
-)
+from domusfm import Event, clean_alternation, extract_time_features, parse_event_csv
+from domusfm.events import format_iso_timestamp, parse_iso_timestamp, sorted_stream
 
-# -- 1. a continuous sensor becomes binary state streams ------------------------
+CSV = """timestamp,sensor_id,house_item,room,sensor_type,status,activity
+2025-01-06T07:02:10,M1,,kitchen,motion,OFF,breakfast
+2025-01-06T07:00:00,M1,,kitchen,motion,ON,breakfast
+2025-01-06T07:00:00,K1,kettle,kitchen,power,ON,breakfast
+2025-01-06T07:01:30,M1,,kitchen,motion,ON,breakfast
+2025-01-06T07:05:00,K1,kettle,kitchen,power,OFF,
+"""
 
-thermometer = Sensor("T1", "temperature", room="kitchen")
-samples = [(1000, 21.5), (1060, 24.0), (1120, 31.2), (1180, 33.0),
-           (1240, 28.4), (1300, 19.0)]
-states = [SemanticState("HIGH", 30.0), SemanticState("LOW", -100.0, 20.0)]
+dataset = parse_event_csv(CSV.encode(), name="kitchen")
 
-print("temperature samples:", samples)
-for state, stream in zip(states, binarize_continuous(samples, states, thermometer)):
-    print(f"  state {state.name:<4} [{state.lo}, {state.hi}):",
-          [(e.timestamp, e.status) for e in stream.events])
 
-# -- 2. a glitchy binary sensor violates the alternation property ----------------
+def show(events, labels):
+    for event, label in zip(events, labels):
+        print(f"  {format_iso_timestamp(event.timestamp)}  {event.sensor.id:<3} "
+              f"{event.status:<3} {label or '-'}")
 
-motion = Sensor("M1", "motion", room="hall")
-glitchy = EventStream(tuple(
-    Event(t, motion, status) for t, status in
-    [(2000, "ON"), (2030, "ON"), (2060, "OFF"), (2090, "OFF"), (2120, "ON")]
-))
-cleaned, report = clean_alternation(glitchy)
-print("\nglitchy motion stream:", [(e.timestamp, e.status) for e in glitchy.events])
-print(f"cleaned ({report.removed_count} removed at indices {report.removed_indices}):",
-      [(e.timestamp, e.status) for e in cleaned.events])
 
-# -- 3. merge per-sensor streams into the global stream ---------------------------
+# -- 1. the rows as the file holds them -----------------------------------------
 
-high_stream = binarize_continuous(samples, states[:1], thermometer)[0]
-merged = merge_streams([cleaned, high_stream])
-print("\nglobal stream (strictly increasing timestamps):")
-for event in merged.events:
+rows = []
+for line in CSV.splitlines()[1:]:
+    ts, sensor_id, _, _, _, status, activity = line.split(",")
+    event = Event(parse_iso_timestamp(ts), dataset.sensors[sensor_id], status)
+    rows.append((event, activity or None))
+print("rows in file order:")
+show(*zip(*rows))
+
+# -- 2. sort by (timestamp, sensor id); a tie is bumped one second ---------------
+
+ordered = sorted_stream(rows)
+print("\nsorted_stream (K1 sorts before M1 at 07:00:00, so M1 moves to 07:00:01):")
+show(ordered.events, ordered.labels)
+
+# -- 3. a sensor that repeats its status loses the repeat ------------------------
+
+cleaned, report = clean_alternation(ordered)
+print(f"\nclean_alternation: {report.removed_count} removed at indices "
+      f"{report.removed_indices}")
+show(cleaned.events, cleaned.labels)
+assert cleaned == dataset.stream
+print("parse_event_csv returned this same stream")
+
+# -- 4. the temporal attributes the event encoder reads -------------------------
+
+print("\ntime features (weekday Monday=0, hour, second in hour):")
+for event in dataset.stream.events:
     dow, hour, sec = extract_time_features(event.timestamp)
-    print(f"  t={event.timestamp}  {event.sensor.id:<8} {event.status:<3} "
-          f"(weekday={dow}, hour={hour:02d}, sec_in_hour={sec})")
+    print(f"  {format_iso_timestamp(event.timestamp)}  {event.sensor.id:<3} "
+          f"weekday={dow} hour={hour:02d} sec_in_hour={sec}")

@@ -36,12 +36,9 @@ from .event_encoder import ModelConfig
 from .events import (
     Event,
     EventStream,
-    SemanticState,
     Sensor,
-    binarize_continuous,
     clean_alternation,
     extract_time_features,
-    merge_streams,
 )
 from .ingest import (
     Dataset,
@@ -64,12 +61,12 @@ __all__ = [
     "AdlHead", "AttributeEmbeddingTable", "Dataset", "EvalProtocol", "Event",
     "EventMultiset", "EventStream", "FinetuneSettings", "FinetuneStrategy",
     "LodoConfig", "MetricReport", "Model", "ModelConfig", "NextKHead",
-    "PretrainConfig", "SemanticState", "Sensor", "SyntheticHomeSpec", "TrainItem",
-    "Window", "adl_predict", "augment_mask_attribute", "augment_mask_event",
-    "binarize_continuous", "build_sampling_plan", "clean_alternation",
-    "contextualize", "extract_time_features", "fallback_embedding", "finetune",
+    "PretrainConfig", "Sensor", "SyntheticHomeSpec", "TrainItem", "Window",
+    "adl_predict", "augment_mask_attribute", "augment_mask_event",
+    "build_sampling_plan", "clean_alternation", "contextualize",
+    "extract_time_features", "fallback_embedding", "finetune",
     "generate_synthetic_corpus", "infonce", "kfold_splits", "load_table_tsv",
-    "lodo_run", "merge_streams", "multiset_prf", "nextk_predict", "nextk_target",
+    "lodo_run", "multiset_prf", "nextk_predict", "nextk_target",
     "parse_event_csv", "pool_sequence", "pretrain", "segment_events",
     "segment_time", "subsample_training", "weighted_f1", "write_event_csv",
 ]

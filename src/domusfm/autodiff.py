@@ -157,17 +157,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:

@@ -69,8 +69,10 @@ class AttributeEmbeddingTable:
     """token -> d_text vector, with reserved MASK/NULL entries.
 
     Lookup misses fall through to :func:`fallback_embedding` and are cached.
-    The stored MASK/NULL rows are placeholders; the encoder substitutes its
-    learned per-slot vectors for those tokens.
+    The encoder never reads the MASK/NULL rows: a NULL attribute is the NULL
+    row and a masked slot the MASK row of the encoder's own slot table. The
+    rows stay because :meth:`fingerprint` (a checkpoint's ``table_sha256``)
+    hashes them, so every existing checkpoint still loads.
     """
 
     d_text: int

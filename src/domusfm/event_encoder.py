@@ -74,12 +74,6 @@ def cyclical_features(x: float, period: float, harmonics: int) -> np.ndarray:
     return out
 
 
-def seconds_bucket(sec_in_hour: int, buckets: int) -> int:
-    if not 0 <= sec_in_hour < 3600:
-        raise ValueError(f"second-in-hour out of range: {sec_in_hour}")
-    return sec_in_hour // (3600 // buckets)
-
-
 def init_event_encoder(config: ModelConfig, d_text: int,
                        rng: np.random.Generator) -> ParamGroup:
     """All learnable parameters of the event-level extractor, for text vectors of ``d_text``."""

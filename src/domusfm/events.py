@@ -1,16 +1,18 @@
-"""Sensors, events, and event streams: cleaning, binarization, merging.
+"""Sensors, ON/OFF events and event streams: ordering, cleaning, time features.
 
-Timestamps are integer seconds since the Unix epoch (UTC). A stream is a
-totally ordered sequence of events; ties introduced by merging are broken by
-bumping later events one second in sensor-id order, which keeps the global
-stream strictly increasing.
+Input starts after binarization: every event is one binary sensor changing to
+ON or OFF, as in the event CSV. Timestamps are integer seconds since the Unix
+epoch (UTC). A stream is a totally ordered sequence of events; ``sorted_stream``
+holds the tie rule that keeps it strictly increasing: rows with equal
+timestamps are ordered by sensor id and later ones bumped one second each.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -21,7 +23,7 @@ STATUSES = (ON, OFF)
 
 @dataclass(frozen=True)
 class Sensor:
-    """A binary sensor (or a binary state derived from a continuous one)."""
+    """A binary sensor, whose events are ON/OFF status changes."""
 
     id: str
     sensor_type: str
@@ -78,22 +80,6 @@ class EventStream:
 
 
 @dataclass(frozen=True)
-class SemanticState:
-    """Named half-open value interval [lo, hi) of a continuous signal."""
-
-    name: str
-    lo: float
-    hi: float = float("inf")
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"state {self.name!r}: need lo < hi, got [{self.lo}, {self.hi})")
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value < self.hi
-
-
-@dataclass(frozen=True)
 class CleanReport:
     removed_count: int
     removed_indices: tuple[int, ...] = ()
@@ -120,55 +106,8 @@ def clean_alternation(stream: EventStream) -> tuple[EventStream, CleanReport]:
     return cleaned, CleanReport(len(removed), tuple(removed))
 
 
-def binarize_continuous(samples: Sequence[tuple[int, float]],
-                        states: Sequence[SemanticState],
-                        sensor: Optional[Sensor] = None) -> list[EventStream]:
-    """Turn a sampled continuous signal into one binary stream per state.
-
-    ON fires at the sample where the indicator goes 0 -> 1 (including the first
-    sample if it already lies inside the interval), OFF at 1 -> 0.
-    """
-    for (t0, _), (t1, _) in zip(samples, samples[1:]):
-        if t1 <= t0:
-            raise ValueError("samples must be sorted strictly ascending by time")
-    names = [s.name for s in states]
-    if len(set(names)) != len(names):
-        raise ValueError("semantic state names must be unique")
-    streams = []
-    for state in states:
-        if sensor is None:
-            derived = Sensor(id=state.name, sensor_type="derived")
-        else:
-            derived = Sensor(id=f"{sensor.id}:{state.name}",
-                             sensor_type=sensor.sensor_type,
-                             house_item=sensor.house_item, room=sensor.room)
-        events = []
-        inside = False
-        for t, value in samples:
-            now = state.contains(value)
-            if now and not inside:
-                events.append(Event(t, derived, ON))
-            elif inside and not now:
-                events.append(Event(t, derived, OFF))
-            inside = now
-        streams.append(EventStream(tuple(events)))
-    return streams
-
-
-def merge_streams(streams: Iterable[EventStream]) -> EventStream:
-    """Merge sorted streams into one strictly increasing global stream.
-
-    Simultaneous events are ordered by sensor id and later ones bumped by one
-    second each, cascading, so timestamps end up unique.
-    """
-    pairs: list[tuple[Event, Optional[str]]] = []
-    for stream in streams:
-        pairs.extend(zip(stream.events, stream.labels))
-    return sorted_stream(pairs)
-
-
 def sorted_stream(pairs: Iterable[tuple[Event, Optional[str]]]) -> EventStream:
-    """Stream of raw (event, label) rows under the merge tie rule.
+    """Stream of raw (event, label) rows under the tie rule.
 
     Rows are stable-sorted by (timestamp, sensor id); an event that does not
     come strictly after its predecessor is bumped to one second past it.
@@ -195,10 +134,14 @@ def extract_time_features(timestamp):
     return (timestamp // 86400 + 3) % 7, timestamp // 3600 % 24, timestamp % 3600
 
 
+_ISO_TIMESTAMP = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
+
+
 def parse_iso_timestamp(text: str) -> int:
-    """Strict `YYYY-MM-DDTHH:MM:SS` (UTC) to epoch seconds."""
-    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S").replace(tzinfo=timezone.utc)
-    ts = int(dt.timestamp())
+    """Strict `YYYY-MM-DDTHH:MM:SS` (UTC, ASCII digits, every field zero-padded) to epoch seconds."""
+    if not _ISO_TIMESTAMP.fullmatch(text):
+        raise ValueError(f"timestamp {text!r} is not YYYY-MM-DDTHH:MM:SS")
+    ts = int(datetime.fromisoformat(text).replace(tzinfo=timezone.utc).timestamp())
     if ts <= 0:
         raise ValueError(f"timestamp {text!r} is not after 1970-01-01")
     return ts

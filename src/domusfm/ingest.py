@@ -69,7 +69,7 @@ def _clean_field(value: Optional[str], what: str) -> str:
 
 def parse_event_csv(blob: bytes, name: str = "dataset") -> Dataset:
     """Strict parse of the canonical event CSV; sorts, deduplicates timestamps
-    per the merge tie rule, and applies alternation cleaning."""
+    by the tie rule of ``sorted_stream``, and applies alternation cleaning."""
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -83,7 +83,7 @@ class TestA1GradientCorrectness:
 
             def f():
                 out = (a * b + a - b) * ad.l2_normalize(b) + ad.gelu(a) + ad.softplus(a)
-                return (out * r).sum()
+                return ad.tensor_sum(out * r)
 
             return [a, b], f
 
@@ -100,7 +100,7 @@ class TestA1GradientCorrectness:
 
             def f():
                 h = layer_norm(x, g, bb)
-                return ((ad.softmax(linear(h, w, b), axis=-1) * r).sum()
+                return (ad.tensor_sum(ad.softmax(linear(h, w, b), axis=-1) * r)
                         + ad.cross_entropy(linear(h, w, b), target))
 
             return [x, w, b, g, bb], f
@@ -114,7 +114,7 @@ class TestA1GradientCorrectness:
             r = Tensor(rng.normal(size=(1, 4, 8)))
 
             def f():
-                return (multi_head_attention(x, 2, group.tensors) * r).sum()
+                return ad.tensor_sum(multi_head_attention(x, 2, group.tensors) * r)
 
             return [x] + list(group.tensors.values()), f
 
@@ -123,7 +123,7 @@ class TestA1GradientCorrectness:
             r = Tensor(rng.normal(size=(2, 5, 3, 4)))
 
             def f():
-                return (ad.transpose(a, (0, -2, -3, -1)) * r).sum()
+                return ad.tensor_sum(ad.transpose(a, (0, -2, -3, -1)) * r)
 
             return [a], f
 
@@ -136,7 +136,7 @@ class TestA1GradientCorrectness:
             r = Tensor(rng.normal(size=(1, 2, config.d)))
 
             def f():
-                return (encode_batch(batch, params, config) * r).sum()
+                return ad.tensor_sum(encode_batch(batch, params, config) * r)
 
             return list(params.tensors.values()), f
 
@@ -156,7 +156,7 @@ class TestA1GradientCorrectness:
             r = Tensor(rng.normal(size=(1, 9, config.d)))
 
             def f():
-                return (encode_batch(batch, params, config) * r).sum()
+                return ad.tensor_sum(encode_batch(batch, params, config) * r)
 
             return list(params.tensors.values()), f
 
@@ -174,7 +174,7 @@ class TestA1GradientCorrectness:
             r = Tensor(rng.normal(size=(7, 3, config.d)))
 
             def f():
-                return (model.event_rows(windows, masks) * r).sum()
+                return ad.tensor_sum(model.event_rows(windows, masks) * r)
 
             return list(model.event_params.tensors.values()), f
 
@@ -190,7 +190,7 @@ class TestA1GradientCorrectness:
             def f():
                 h = encode_batch(batch, event_params, config)
                 pooled = pool_sequence(contextualize(h, ctx_params, config))
-                return (pooled[0] * r).sum()
+                return ad.tensor_sum(pooled[0] * r)
 
             return (list(event_params.tensors.values())
                     + list(ctx_params.tensors.values())), f

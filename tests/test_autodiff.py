@@ -25,7 +25,7 @@ TOL = 1e-4
 def _projected_sum(out: Tensor, rng: np.random.Generator) -> Tensor:
     """Random projection to a scalar so every output element gets gradient."""
     r = Tensor(rng.normal(size=out.shape))
-    return (out * r).sum()
+    return ad.tensor_sum(out * r)
 
 
 def _check(op_builder, seed: int) -> float:
@@ -71,7 +71,7 @@ class TestPrimitiveGradients:
             b = parameter(rng.normal(size=(4, 5)))
 
             def f():
-                return _projected_sum(a @ b, np.random.default_rng(seed + 100))
+                return _projected_sum(ad.matmul(a, b), np.random.default_rng(seed + 100))
 
             return [a, b], f
 
@@ -85,7 +85,7 @@ class TestPrimitiveGradients:
             shared = parameter(rng.normal(size=(4, 5)))
 
             def f():
-                out = (a @ b) + (a @ shared)
+                out = ad.matmul(a, b) + ad.matmul(a, shared)
                 return _projected_sum(out, np.random.default_rng(seed + 100))
 
             return [a, b, shared], f
@@ -106,7 +106,8 @@ class TestPrimitiveGradients:
                 lead = len(shape) - 3
                 flipped = ad.transpose(a, tuple(range(lead)) + (lead + 1, lead, lead + 2))
                 rng = np.random.default_rng(seed + 100)
-                return _projected_sum(a @ w, rng) + _projected_sum(flipped @ w, rng)
+                return (_projected_sum(ad.matmul(a, w), rng)
+                        + _projected_sum(ad.matmul(flipped, w), rng))
 
             return [a, w], f
 
@@ -120,7 +121,8 @@ class TestPrimitiveGradients:
             def f():
                 t = ad.transpose(a, (1, 0, 2))
                 r = ad.reshape(t, (4, 6))
-                s = r.sum(axis=1) + r.mean(axis=0).sum() + a.sum()
+                s = (ad.tensor_sum(r, axis=1) + ad.tensor_sum(ad.tensor_mean(r, axis=0))
+                     + ad.tensor_sum(a))
                 return _projected_sum(s, np.random.default_rng(seed + 100))
 
             return [a], f
@@ -152,8 +154,8 @@ class TestPrimitiveGradients:
                 joined = ad.concat([a, b], axis=0)
                 sliced = joined[1:4]
                 rows = ad.take_rows(table, idx)
-                out = sliced.sum() + _projected_sum(rows, np.random.default_rng(seed + 100))
-                return out
+                return (ad.tensor_sum(sliced)
+                        + _projected_sum(rows, np.random.default_rng(seed + 100)))
 
             return [a, b, table], f
 
@@ -179,7 +181,7 @@ class TestPrimitiveGradients:
         table = parameter(np.ones((4, 3)))
         rows = ad.take_rows(table, np.zeros((0,), dtype=np.int64))
         assert rows.shape == (0, 3)
-        (rows.sum() + (table * 2.0).sum()).backward()
+        (ad.tensor_sum(rows) + ad.tensor_sum(table * 2.0)).backward()
         np.testing.assert_array_equal(table.grad, np.full((4, 3), 2.0, np.float32))
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -268,7 +270,7 @@ class TestGradCheckHarness:
             x = parameter(np.array([3.0]))
 
             def f():
-                return (x * x).sum()
+                return ad.tensor_sum(x * x)
 
             err = grad_check(f, [x])
         assert err < 1e-8
@@ -276,7 +278,7 @@ class TestGradCheckHarness:
     def test_rejects_float32(self):
         x = parameter(np.array([3.0], dtype=np.float32))
         with pytest.raises(ValueError, match="float64"):
-            grad_check(lambda: (x * x).sum(), [x])
+            grad_check(lambda: ad.tensor_sum(x * x), [x])
 
 
 class TestSoftmaxValues:
@@ -307,14 +309,14 @@ class TestTapeMechanics:
     def test_no_grad_blocks_recording(self):
         x = parameter(np.ones(3))
         with no_grad():
-            y = (x * 2.0).sum()
+            y = ad.tensor_sum(x * 2.0)
         assert y.node is None and not y.requires_grad
 
     def test_gradient_accumulates_across_uses(self):
         with precision("float64"):
             x = parameter(np.array([2.0]))
             y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
-            y.sum().backward()
+            ad.tensor_sum(y).backward()
             np.testing.assert_allclose(x.grad, [7.0])
 
     def test_shared_gradient_survives_later_accumulation(self):
@@ -322,9 +324,9 @@ class TestTapeMechanics:
         # one of them must leave the other's untouched
         a = parameter(np.ones((2, 3)))
         b = parameter(np.ones((2, 3)))
-        (a + b).sum().backward()
+        ad.tensor_sum(a + b).backward()
         assert np.shares_memory(a.grad, b.grad)
-        (a * 3.0).sum().backward()
+        ad.tensor_sum(a * 3.0).backward()
         np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
         np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
 
@@ -333,7 +335,7 @@ class TestTapeMechanics:
         b = parameter(np.arange(6.0).reshape(3, 2))
         v = parameter(np.arange(5.0))
         r = Tensor(np.linspace(-1.0, 1.0, 18).reshape(6, 3))
-        out = (ad.transpose(ad.concat([a, b], axis=1), (1, 0)) * r).sum()
+        out = ad.tensor_sum(ad.transpose(ad.concat([a, b], axis=1), (1, 0)) * r)
         (out + ad.tensor_sum(v, axis=0) * 2.0).backward()  # a 0-d gradient on the way
         for t in (a, b, v):
             assert t.grad.flags.c_contiguous
@@ -353,9 +355,9 @@ class TestTapeMechanics:
         x = parameter(np.ones(3))
         if build == "no_grad":
             with no_grad():
-                loss = (x * 2.0).sum()
+                loss = ad.tensor_sum(x * 2.0)
         else:
-            loss = (Tensor(np.ones(3)) * 2.0).sum()
+            loss = ad.tensor_sum(Tensor(np.ones(3)) * 2.0)
         with pytest.raises(ValueError, match="on the tape"):
             loss.backward()
         assert x.grad is None
@@ -397,7 +399,7 @@ class TestSavedArrays:
             y = ad.softmax(scores, axis=-1)  # softmax keeps its output
             refs.update(sum=weakref.ref(s.data), scores=weakref.ref(scores.data),
                         y=weakref.ref(y.data))
-            return ad.matmul(y, v).sum()
+            return ad.tensor_sum(ad.matmul(y, v))
 
         loss = block()
         assert refs["sum"]() is None and refs["scores"]() is None
@@ -423,7 +425,7 @@ class TestSavedArrays:
         _spy(monkeypatch, nn, "softmax", softmaxes)
         _spy(monkeypatch, context_encoder, "layer_norm", norms)
         x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 8)))
-        loss = contextualize(x, params, config).sum()
+        loss = ad.tensor_sum(contextualize(x, params, config))
         (scores, weights), = softmaxes
         residual = norms[1][0]               # the input of the second layer norm
         assert scores() is None and residual() is None
@@ -442,8 +444,8 @@ class TestSavedArrays:
         off = Tensor(rng.normal(size=(8, 5) if on_tape == "x" else (3, 4, 8)))
         bias = parameter(np.zeros(5))
         on_data, off_data = weakref.ref(on.data), weakref.ref(off.data)
-        loss = (nn.linear(on, off, bias) if on_tape == "x"
-                else nn.linear(off, on, bias)).sum()
+        loss = ad.tensor_sum(nn.linear(on, off, bias) if on_tape == "x"
+                             else nn.linear(off, on, bias))
         del on, off
         assert on_data() is None and off_data() is not None
         loss.backward()
@@ -466,7 +468,7 @@ class TestSavedArrays:
 
         monkeypatch.setattr(ad, "_gelu_forward", spied)
         x = parameter(rng.normal(size=(3, 4, 8)))
-        loss = nn.feed_forward(x, group.tensors, "ff").sum()
+        loss = ad.tensor_sum(nn.feed_forward(x, group.tensors, "ff"))
         assert len(hidden) == 3 and all(r() is None for r in hidden)
         loss.backward()
         assert x.grad is not None

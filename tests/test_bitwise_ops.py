@@ -135,7 +135,7 @@ def _f32(rng, shape, scale=1.0):
 
 def _backprop(out: Tensor, g: np.ndarray):
     """Send exactly ``g`` into ``out``'s backward (1 * g is exact)."""
-    (out * Tensor(g)).sum().backward()
+    ad.tensor_sum(out * Tensor(g)).backward()
 
 
 @pytest.mark.parametrize("shape, axis", [
@@ -221,7 +221,7 @@ def test_linear_matches_reference(x_shape, m, transposed, x_on_tape, uses):
     ws, bs = parameter(w), parameter(b)
     inputs = [parameter(x) if x_on_tape else Tensor(x) for x in xs]
     outs = [linear(x, ws, bs) for x in inputs]
-    sum(((out * Tensor(g)).sum() for out, g in zip(outs, gs)), Tensor(0.0)).backward()
+    sum((ad.tensor_sum(out * Tensor(g)) for out, g in zip(outs, gs)), Tensor(0.0)).backward()
     refs = [ref_linear(x, w, b, g) for x, g in zip(xs, gs)]
     for x, out, (ref_out, dx, _, _) in zip(inputs, outs, refs):
         assert x.data.flags.c_contiguous != transposed
@@ -263,7 +263,7 @@ def test_feed_forward_matches_three_op_tape(b, n, uses):
     for ffn, group in ((feed_forward, fused), (_three_op_ffn, plain)):
         inputs = [parameter(x) for x in xs]
         outs = [ffn(x, group.tensors, "ff") for x in inputs]
-        loss = sum(((out * Tensor(g)).sum() for out, g in zip(outs, gs)), Tensor(0.0))
+        loss = sum((ad.tensor_sum(out * Tensor(g)) for out, g in zip(outs, gs)), Tensor(0.0))
         loss.backward()
         grads.append(([out.data for out in outs], [x.grad for x in inputs],
                       [t.grad for t in group.tensors.values()]))

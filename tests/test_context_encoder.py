@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_config, toy_events, toy_window
-from domusfm.autodiff import Tensor, grad_check, no_grad, precision
+from domusfm.autodiff import Tensor, grad_check, no_grad, precision, tensor_sum
 from domusfm.context_encoder import contextualize, init_context_encoder, pool_sequence
 from domusfm.embeddings import fallback_table
 from domusfm.model import Model
@@ -128,7 +128,7 @@ class TestWindowTensors:
 
             def f():
                 _, pooled = model.window_tensors([window])
-                return (pooled[0] * r).sum()
+                return tensor_sum(pooled[0] * r)
 
             params = [t for g in model.groups.values() for t in g.tensors.values()]
             err = grad_check(f, params, seed=seed)

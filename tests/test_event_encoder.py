@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import BED, STOVE, WEARABLE, toy_config, toy_events
-from domusfm.autodiff import Tensor, grad_check, precision
+from domusfm.autodiff import Tensor, grad_check, precision, tensor_sum
 from domusfm.embeddings import fallback_embedding
 from domusfm.event_encoder import (
     MASK_ID,
@@ -23,7 +23,6 @@ from domusfm.event_encoder import (
     encode_batch,
     featurize_events,
     init_event_encoder,
-    seconds_bucket,
 )
 from domusfm.events import Event, Sensor
 from domusfm.segmentation import Window
@@ -105,13 +104,6 @@ class TestCyclicalFeatures:
                               for m in range(1, harmonics + 1)))
         assert np.linalg.norm(late - zero) <= bound + 1e-12
 
-    def test_seconds_bucket(self):
-        assert seconds_bucket(0, 60) == 0
-        assert seconds_bucket(3599, 60) == 59
-        assert seconds_bucket(60, 60) == 1
-        with pytest.raises(ValueError):
-            seconds_bucket(3600, 60)
-
 
 def per_event_features(events, table, config):
     """The featurization one event at a time, in float64, from the helpers.
@@ -131,7 +123,7 @@ def per_event_features(events, table, config):
         dow, hour, sec = utc_fields(event.timestamp)
         dow_feats.append(cyclical_features(dow, 7.0, config.harmonics))
         hour_feats.append(cyclical_features(hour, 24.0, config.harmonics))
-        sec_ids.append(seconds_bucket(sec, config.seconds_buckets))
+        sec_ids.append(sec * config.seconds_buckets // 3600)
     return ([np.array(text[s]) for s in attrs] + [np.array(null[s]) for s in attrs]
             + [np.array(dow_feats), np.array(hour_feats), np.array(sec_ids)])
 
@@ -164,6 +156,14 @@ class TestFeaturizeEvents:
                                                    cyclical_table(7, config.harmonics)))
         np.testing.assert_array_equal(ids[:, 6], [int(i % 3 == 0) for i in range(61)])
         assert {utc_fields(ts)[0] for ts in stamps} == set(range(7))
+
+    def test_seconds_buckets(self, table):
+        # 60 buckets of one minute each: seconds 0 and 59 share bucket 0
+        hour = T0 - T0 % 3600
+        events = [Event(hour + sec, STOVE, "OFF" if k % 2 else "ON")
+                  for k, sec in enumerate((0, 59, 60, 3599))]
+        feats = featurize_events(events, table, toy_config(seconds_buckets=60))
+        assert feats.ids[:, 5].tolist() == [0, 0, 1, 59]
 
     def test_empty_stream(self, table):
         feats = featurize_events([], table, toy_config())
@@ -236,7 +236,7 @@ class TestEncodeTemporal:
         np.testing.assert_array_equal(
             cyclical_table(24, config.harmonics)[feats.ids[0, 4]],
             cyclical_features(hour, 24.0, config.harmonics).astype(np.float32))
-        assert feats.ids[0, 5] == seconds_bucket(sec, config.seconds_buckets)
+        assert feats.ids[0, 5] == sec * config.seconds_buckets // 3600
         a = encode([event], table, params, config)
         b = encode([event], table, params, config)
         assert a.shape == (1, config.d)
@@ -335,7 +335,7 @@ class TestEncodeEvent:
             r = Tensor(rng.normal(size=(1, 2, config.d)))
 
             def f():
-                return (encode_batch(batch, params, config) * r).sum()
+                return tensor_sum(encode_batch(batch, params, config) * r)
 
             err = grad_check(f, list(params.tensors.values()), seed=seed)
         assert err < 1e-4

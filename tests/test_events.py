@@ -1,4 +1,4 @@
-"""Domain-model tests: alternation cleaning, binarization, merging, time features."""
+"""Domain-model tests: alternation cleaning, the tie rule, time features."""
 
 from datetime import datetime, timezone
 
@@ -11,14 +11,12 @@ from domusfm.events import (
     CleanReport,
     Event,
     EventStream,
-    SemanticState,
     Sensor,
-    binarize_continuous,
     clean_alternation,
     extract_time_features,
     format_iso_timestamp,
-    merge_streams,
     parse_iso_timestamp,
+    sorted_stream,
 )
 
 M1 = Sensor("M1", "motion", room="kitchen")
@@ -106,61 +104,32 @@ class TestCleanAlternation:
         assert cleaned.labels == ("cook", None)
 
 
-class TestBinarize:
-    def test_high_temperature_example(self):
-        samples = [(1, 25.0), (2, 31.0), (3, 29.0)]
-        (stream,) = binarize_continuous(samples, [SemanticState("HIGH", 30.0)])
-        assert [(e.timestamp, e.status) for e in stream.events] == [(2, ON), (3, OFF)]
-
-    def test_all_outside_is_empty(self):
-        (stream,) = binarize_continuous([(1, 5.0), (2, 6.0)], [SemanticState("HIGH", 30.0)])
-        assert len(stream) == 0
-
-    def test_single_sample_inside(self):
-        (stream,) = binarize_continuous([(7, 42.0)], [SemanticState("HIGH", 30.0)])
-        assert [(e.timestamp, e.status) for e in stream.events] == [(7, ON)]
-
-    def test_half_open_interval(self):
-        state = SemanticState("MID", 10.0, 20.0)
-        assert state.contains(10.0) and not state.contains(20.0)
-
-    def test_rejects_unsorted_samples(self):
-        with pytest.raises(ValueError, match="sorted"):
-            binarize_continuous([(2, 1.0), (1, 2.0)], [SemanticState("H", 0.0)])
-
-    def test_alternation_by_construction(self):
-        rng = np.random.default_rng(5)
-        samples = [(t, float(rng.normal())) for t in range(1, 500)]
-        states = [SemanticState("POS", 0.0), SemanticState("NEG", -100.0, 0.0)]
-        for stream in binarize_continuous(samples, states):
-            statuses = [e.status for e in stream.events]
-            assert all(a != b for a, b in zip(statuses, statuses[1:]))
-
-    def test_derived_sensor_naming(self):
-        base = Sensor("T1", "temperature", room="kitchen")
-        (stream,) = binarize_continuous([(1, 50.0)], [SemanticState("HIGH", 30.0)], base)
-        assert stream.events[0].sensor.id == "T1:HIGH"
-        assert stream.events[0].sensor.room == "kitchen"
-
-
 class TestMergeStreams:
+    """Merging streams is ``sorted_stream`` of their (event, label) rows: the CSV tie rule."""
+
+    @staticmethod
+    def rows(*streams):
+        return [pair for stream in streams for pair in zip(stream.events, stream.labels)]
+
     def test_disjoint_interleave(self):
         a = stream_of((1, M1, ON), (10, M1, OFF))
         b = stream_of((5, D1, ON), (15, D1, OFF))
-        merged = merge_streams([a, b])
+        merged = sorted_stream(self.rows(a, b))
         assert [e.timestamp for e in merged.events] == [1, 5, 10, 15]
 
     def test_tie_bumps_in_sensor_order(self):
         a = stream_of((100, Sensor("B", "motion"), ON))
         b = stream_of((100, Sensor("A", "motion"), ON))
-        merged = merge_streams([a, b])
+        merged = sorted_stream(self.rows(a, b))
         assert [(e.sensor.id, e.timestamp) for e in merged.events] == [("A", 100), ("B", 101)]
 
     def test_merge_single_stream_identity(self):
-        a = stream_of((1, M1, ON), (2, M1, OFF))
-        assert merge_streams([a]) == a
+        a = EventStream((Event(1, M1, ON), Event(2, M1, OFF)), ("cook", None))
+        assert sorted_stream(self.rows(a)) == a
 
     def test_output_always_strict(self):
+        # equal timestamps across four sensors cascade: each bump can create a
+        # new tie with the next row, and every one is bumped again
         rng = np.random.default_rng(9)
         streams = []
         for s in range(4):
@@ -168,7 +137,7 @@ class TestMergeStreams:
             times = np.sort(rng.choice(np.arange(1, 60), size=12, replace=False))
             status = [ON, OFF] * 6
             streams.append(stream_of(*[(int(t), sensor, st) for t, st in zip(times, status)]))
-        merged = merge_streams(streams)
+        merged = sorted_stream(self.rows(*streams))
         times = [e.timestamp for e in merged.events]
         assert all(b > a for a, b in zip(times, times[1:]))
         assert len(merged) == sum(len(s) for s in streams)

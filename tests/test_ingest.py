@@ -77,6 +77,14 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2: bad timestamp"):
             parse_event_csv(blob)
 
+    # a lenient parser accepts these: unpadded fields and non-ASCII digits
+    @pytest.mark.parametrize("raw", ["2025-1-06T00:00:00", "2025-01-6T0:0:0",
+                                     "\uff12\uff10\uff12\uff15-01-06T00:00:00"])
+    def test_loose_timestamp_forms_rejected(self, raw):
+        blob = (CSV_HEADER + f"\n{raw},M1,,kitchen,motion,ON,\n").encode()
+        with pytest.raises(ParseError, match="line 2: bad timestamp"):
+            parse_event_csv(blob)
+
     def test_unknown_status_rejected(self):
         blob = VALID.replace(b",ON,", b",MAYBE,", 1)
         with pytest.raises(ParseError, match="unknown status"):

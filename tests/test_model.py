@@ -7,7 +7,7 @@ import pytest
 
 from conftest import toy_config, toy_window
 from domusfm import evaluation, model as model_module, pretraining
-from domusfm.autodiff import grad_check, no_grad, precision
+from domusfm.autodiff import grad_check, no_grad, precision, tensor_sum
 from domusfm.benchmark import three_home_corpus
 from domusfm.context_encoder import pool_sequence
 from domusfm.downstream import adl_loss, init_adl_head
@@ -130,7 +130,7 @@ class TestEventRows:
         model = make_model(homes, 4)
         windows = stride_one(homes, 4)[homes[0].name][:6]
         _, pooled = model.window_tensors(windows)
-        pooled.sum().backward()
+        tensor_sum(pooled).backward()
         assert model.event_params["fuse.w"].grad is not None
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from domusfm import nn
-from domusfm.autodiff import Tensor, grad_check, parameter, precision
+from domusfm.autodiff import Tensor, grad_check, parameter, precision, tensor_sum
 from domusfm.nn import (
     NumericError,
     ParamGroup,
@@ -45,7 +45,7 @@ class TestLinear:
             x = parameter(rng.normal(size=(3, 4)))
             w = parameter(rng.normal(size=(4, 2)))
             b = parameter(rng.normal(size=(2,)))
-            err = grad_check(lambda: linear(x, w, b).sum(), [x, w, b], seed=seed)
+            err = grad_check(lambda: tensor_sum(linear(x, w, b)), [x, w, b], seed=seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -57,7 +57,7 @@ class TestLinear:
             w = parameter(rng.normal(size=(4, 5)))
             b = parameter(rng.normal(size=(5,)))
             r = Tensor(rng.normal(size=(2, 3, 5)))
-            err = grad_check(lambda: (linear(x, w, b) * r).sum(), [x, w, b], seed=seed)
+            err = grad_check(lambda: tensor_sum(linear(x, w, b) * r), [x, w, b], seed=seed)
         assert err < 1e-4
 
 
@@ -88,7 +88,7 @@ class TestLayerNorm:
             g = parameter(rng.normal(1.0, 0.1, size=(8,)))
             b = parameter(rng.normal(size=(8,)))
             r = Tensor(rng.normal(size=(3, 8)))
-            err = grad_check(lambda: (layer_norm(x, g, b) * r).sum(), [x, g, b], seed=seed)
+            err = grad_check(lambda: tensor_sum(layer_norm(x, g, b) * r), [x, g, b], seed=seed)
         assert err < 1e-4
 
 
@@ -154,7 +154,7 @@ class TestMultiHeadAttention:
             tensors = [x] + list(group.tensors.values())
 
             def f():
-                return (multi_head_attention(x, 2, group.tensors) * r).sum()
+                return tensor_sum(multi_head_attention(x, 2, group.tensors) * r)
 
             err = grad_check(f, tensors, seed=seed)
         assert err < 1e-4
@@ -172,7 +172,7 @@ class TestFeedForward:
             r = Tensor(rng.normal(size=(3, 6)))
 
             def f():
-                return (feed_forward(x, group.tensors, "ff") * r).sum()
+                return tensor_sum(feed_forward(x, group.tensors, "ff") * r)
 
             err = grad_check(f, [x] + list(group.tensors.values()), seed=seed)
         assert err < 1e-4
@@ -190,7 +190,7 @@ class TestFeedForward:
             r = Tensor(rng.normal(size=(5, 4, 6)))
 
             def f():
-                return (feed_forward(x, group.tensors, "ff") * r).sum()
+                return tensor_sum(feed_forward(x, group.tensors, "ff") * r)
 
             err = grad_check(f, [x] + list(group.tensors.values()), seed=seed)
         assert err < 1e-4
